@@ -7,7 +7,8 @@
 // not comparable; instead every trainer meters (a) alpha-beta communication
 // per category and (b) local kernel flops, and this model maps both to
 // "Summit-like" seconds. The constants are order-of-magnitude calibrations,
-// documented in EXPERIMENTS.md; the reproduced quantity is the *shape*
+// each documented on its field below (DESIGN.md, "Substitutions", says how
+// the benches use the model); the reproduced quantity is the *shape*
 // (scaling factors, who dominates), which is insensitive to the constants.
 #pragma once
 

@@ -9,6 +9,7 @@
 #include "src/dense/gemm.hpp"
 #include "src/dense/ops.hpp"
 #include "src/util/error.hpp"
+#include "src/util/parallel.hpp"
 
 namespace cagnet {
 
@@ -138,14 +139,25 @@ void DistEngine::backward() {
     if (problem_.labeled_count > 0) {
       const Real scale =
           Real{-1} / static_cast<Real>(problem_.labeled_count);
-      for (Index r = 0; r < local_rows; ++r) {
-        const Index label = labels[static_cast<std::size_t>(row_lo + r)];
-        if (label < 0) continue;
-        for (Index c = 0; c < fL1 - fL0; ++c) {
-          g_buf_(r, c) = -std::exp(output_rows_(r, fL0 + c)) * scale;
-        }
-        if (label >= fL0 && label < fL1) g_buf_(r, label - fL0) += scale;
-      }
+      // Row blocks write disjoint rows of g_buf_, so every chunk count
+      // gives the same bits.
+      parallel_for(
+          local_rows,
+          plan_chunks(static_cast<double>(g_buf_.size()), kMinElemsPerChunk,
+                      local_rows),
+          [&](Index r0, Index r1) {
+            for (Index r = r0; r < r1; ++r) {
+              const Index label =
+                  labels[static_cast<std::size_t>(row_lo + r)];
+              if (label < 0) continue;
+              for (Index c = 0; c < fL1 - fL0; ++c) {
+                g_buf_(r, c) = -std::exp(output_rows_(r, fL0 + c)) * scale;
+              }
+              if (label >= fL0 && label < fL1) {
+                g_buf_(r, label - fL0) += scale;
+              }
+            }
+          });
     }
   }
 

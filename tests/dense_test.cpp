@@ -3,7 +3,9 @@
 // derivatives (checked numerically), and the NLL loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -117,34 +119,186 @@ TEST(Matrix, MaxAbsDiffAndAllclose) {
   EXPECT_FALSE(Matrix::allclose(a, b, 1e-4));
 }
 
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(Real)) == 0;
+}
+
+// A post-ReLU operand: uniform values with the negatives clamped to exact
+// zeros, as the backward GEMMs see them.
+Matrix relu_matrix(Index r, Index c, Rng& rng) {
+  Matrix m = random_matrix(r, c, rng);
+  for (Real& v : m.flat()) v = std::max(v, Real{0});
+  return m;
+}
+
+// The stored operands of op(A) (m x k) and op(B) (k x n).
+Matrix stored_a(Index m, Index k, Trans ta, Rng& rng) {
+  return ta == Trans::kNo ? relu_matrix(m, k, rng) : relu_matrix(k, m, rng);
+}
+Matrix stored_b(Index k, Index n, Trans tb, Rng& rng) {
+  return tb == Trans::kNo ? random_matrix(k, n, rng)
+                          : random_matrix(n, k, rng);
+}
+
+// gemm's documented per-element order: NN and TN start from the
+// beta-scaled C and add (alpha * a) * b for p ascending; NT and TT
+// accumulate a * b from zero for p ascending, then add alpha * acc.
+void reference_gemm(Trans ta, Trans tb, Real alpha, const Matrix& a,
+                    const Matrix& b, Real beta, Matrix& c) {
+  const Index k = ta == Trans::kNo ? a.cols() : a.rows();
+  for (Index i = 0; i < c.rows(); ++i) {
+    for (Index j = 0; j < c.cols(); ++j) {
+      Real& out = c(i, j);
+      out = beta == Real{0} ? Real{0} : beta == Real{1} ? out : out * beta;
+      Real acc = 0;
+      for (Index p = 0; p < k; ++p) {
+        const Real av = ta == Trans::kNo ? a(i, p) : a(p, i);
+        const Real bv = tb == Trans::kNo ? b(p, j) : b(j, p);
+        if (tb == Trans::kNo) {
+          out += (alpha * av) * bv;
+        } else {
+          acc += av * bv;
+        }
+      }
+      if (tb == Trans::kYes) out += alpha * acc;
+    }
+  }
+}
+
+constexpr Trans kTransCombos[][2] = {{Trans::kNo, Trans::kNo},
+                                     {Trans::kYes, Trans::kNo},
+                                     {Trans::kNo, Trans::kYes},
+                                     {Trans::kYes, Trans::kYes}};
+
 class GemmAllTranspose
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
+// alpha = 1, beta = 0: every element is the plain ascending-p sum, bit
+// for bit, at every register-tile edge (tiles are 4 x 4) and with the
+// exact zeros of a post-ReLU A.
 TEST_P(GemmAllTranspose, MatchesNaive) {
   const auto [mi, ki, ni, trans_combo] = GetParam();
   const Index m = mi;
   const Index k = ki;
   const Index n = ni;
-  const Trans ta = (trans_combo & 1) ? Trans::kYes : Trans::kNo;
-  const Trans tb = (trans_combo & 2) ? Trans::kYes : Trans::kNo;
+  const Trans ta = kTransCombos[trans_combo][0];
+  const Trans tb = kTransCombos[trans_combo][1];
 
   Rng rng(static_cast<std::uint64_t>(m * 131 + k * 17 + n + trans_combo));
-  Matrix a = ta == Trans::kNo ? random_matrix(m, k, rng)
-                              : random_matrix(k, m, rng);
-  Matrix b = tb == Trans::kNo ? random_matrix(k, n, rng)
-                              : random_matrix(n, k, rng);
+  const Matrix a = stored_a(m, k, ta, rng);
+  const Matrix b = stored_b(k, n, tb, rng);
 
-  const Matrix expected = naive_matmul(a, b, ta, tb);
-  const Matrix got = matmul(a, b, ta, tb);
-  EXPECT_LE(Matrix::max_abs_diff(expected, got), 1e-12);
+  EXPECT_TRUE(bitwise_equal(matmul(a, b, ta, tb), naive_matmul(a, b, ta, tb)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmAllTranspose,
-    ::testing::Combine(::testing::Values(1, 5, 33, 64),
-                       ::testing::Values(1, 7, 65),
-                       ::testing::Values(1, 4, 31),
+    ::testing::Combine(::testing::Values(1, 3, 4, 5, 8, 31, 32, 33, 64, 65),
+                       ::testing::Values(1, 7, 64, 65),
+                       ::testing::Values(1, 3, 4, 5, 8, 31, 32, 33, 64, 65),
                        ::testing::Values(0, 1, 2, 3)));
+
+// General alpha and beta follow the documented order bitwise, including
+// k beyond one k-block of the rank-update shapes and an NT k too deep
+// for the pack buffer (the generic path).
+TEST(Gemm, AlphaBetaFollowDocumentedOrder) {
+  Rng rng(93);
+  for (const auto& [ta, tb] : kTransCombos) {
+    for (const auto& [m, k, n] : {std::tuple<Index, Index, Index>{9, 300, 13},
+                                  {5, 2100, 6},
+                                  {33, 65, 31}}) {
+      for (const Real beta : {Real{0}, Real{1}, Real{-0.5}}) {
+        const Matrix a = stored_a(m, k, ta, rng);
+        const Matrix b = stored_b(k, n, tb, rng);
+        Matrix got = random_matrix(m, n, rng);
+        Matrix expected = got;
+        gemm(ta, tb, Real{-0.75}, a, b, beta, got);
+        reference_gemm(ta, tb, Real{-0.75}, a, b, beta, expected);
+        EXPECT_TRUE(bitwise_equal(got, expected))
+            << "ta=" << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes)
+            << " m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+      }
+    }
+  }
+}
+
+// NN and NT rows computed on a row subset (a compact frontier) equal the
+// matching rows of the full product bitwise, wherever the subset rows
+// fall relative to the 4-row tiles.
+TEST(Gemm, RowSubsetMatchesFullProductRows) {
+  Rng rng(94);
+  const Index m = 70, k = 64;
+  const std::vector<Index> subset = {0, 2, 3, 7, 8, 9, 10, 11, 30, 45, 69};
+  const Index s = static_cast<Index>(subset.size());
+  for (const Index n : {Index{8}, Index{33}, Index{64}}) {
+    for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+      const Matrix a = relu_matrix(m, k, rng);
+      const Matrix b = stored_b(k, n, tb, rng);
+      Matrix a_sub(s, k);
+      for (Index r = 0; r < s; ++r) {
+        for (Index p = 0; p < k; ++p) a_sub(r, p) = a(subset[r], p);
+      }
+      const Matrix full = matmul(a, b, Trans::kNo, tb);
+      const Matrix part = matmul(a_sub, b, Trans::kNo, tb);
+      for (Index r = 0; r < s; ++r) {
+        EXPECT_EQ(std::memcmp(part.row(r).data(), full.row(subset[r]).data(),
+                              static_cast<std::size_t>(n) * sizeof(Real)),
+                  0)
+            << "n=" << n << " tb=" << (tb == Trans::kYes) << " row "
+            << subset[r];
+      }
+    }
+  }
+}
+
+// Y = H^T U over a compact frontier equals Y over the frontier padded
+// with rows whose H or U row is zero (a zero product leaves every chain
+// unchanged), bitwise.
+TEST(Gemm, TransposedAZeroRowsMatchCompact) {
+  Rng rng(95);
+  const Index k = 150, m = 64;
+  for (const Index n : {Index{8}, Index{64}}) {
+    const Matrix h = relu_matrix(k, m, rng);
+    const Matrix u = random_matrix(k, n, rng);
+    Matrix h_pad(3 * k, m);
+    Matrix u_pad(3 * k, n);
+    for (Index p = 0; p < k; ++p) {
+      // Row 3p is the compact row; 3p+1 has a zero H row, 3p+2 a zero U row.
+      for (Index i = 0; i < m; ++i) h_pad(3 * p, i) = h(p, i);
+      for (Index j = 0; j < n; ++j) {
+        u_pad(3 * p, j) = u(p, j);
+        u_pad(3 * p + 1, j) = u((p + 1) % k, j);
+      }
+      for (Index i = 0; i < m; ++i) h_pad(3 * p + 2, i) = h((p + 1) % k, i);
+    }
+    EXPECT_TRUE(bitwise_equal(matmul(h, u, Trans::kYes, Trans::kNo),
+                              matmul(h_pad, u_pad, Trans::kYes, Trans::kNo)))
+        << "n=" << n;
+  }
+}
+
+// The partial-SUMMA accumulation: stage products added into C with
+// beta = 1 equal one beta = 0 product over the concatenated k, bitwise.
+TEST(Gemm, BetaOneStagesMatchSingleProduct) {
+  Rng rng(96);
+  const Index m = 37, n = 32;
+  const std::vector<Index> stage_k = {16, 16, 7, 25};
+  Index k = 0;
+  for (const Index ks : stage_k) k += ks;
+  const Matrix t = relu_matrix(m, k, rng);
+  const Matrix w = random_matrix(k, n, rng);
+  Matrix z(m, n);
+  Index p0 = 0;
+  for (const Index ks : stage_k) {
+    gemm(Trans::kNo, Trans::kNo, Real{1}, t.block(0, p0, m, ks),
+         w.block(p0, 0, ks, n), Real{1}, z);
+    p0 += ks;
+  }
+  EXPECT_TRUE(bitwise_equal(z, matmul(t, w)));
+  EXPECT_TRUE(bitwise_equal(z, naive_matmul(t, w, Trans::kNo, Trans::kNo)));
+}
 
 TEST(Gemm, AlphaBetaComposition) {
   Rng rng(5);
@@ -392,26 +546,24 @@ TEST(Gemm, ThreadedMatchesSerialBitwise) {
   // trans combination (each picks a different kernel path). Shapes are
   // large enough that the automatic plan genuinely chunks at budget 8.
   Rng rng(92);
-  const Index m = 2003, k = 64, n = 31;
-  Matrix a(m, k);
-  Matrix b(k, n);
-  a.fill_uniform(rng, -1, 1);
-  b.fill_uniform(rng, -1, 1);
-  for (const auto& [ta, tb] :
-       {std::pair<Trans, Trans>{Trans::kNo, Trans::kNo},
-        {Trans::kYes, Trans::kNo},
-        {Trans::kNo, Trans::kYes},
-        {Trans::kYes, Trans::kYes}}) {
-    const Matrix aa = ta == Trans::kNo ? a : a.transposed();
-    const Matrix bb = tb == Trans::kNo ? b : b.transposed();
-    Matrix serial(m, n);
-    Matrix threaded(m, n);
-    override_thread_budget(1);
-    gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, serial);
-    override_thread_budget(8);
-    gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, threaded);
-    override_thread_budget(0);
-    EXPECT_EQ(Matrix::max_abs_diff(serial, threaded), 0.0);
+  const Index m = 2003, k = 64;
+  for (const Index n : {Index{8}, Index{31}, Index{32}, Index{64}}) {
+    Matrix a(m, k);
+    Matrix b(k, n);
+    a.fill_uniform(rng, -1, 1);
+    b.fill_uniform(rng, -1, 1);
+    for (const auto& [ta, tb] : kTransCombos) {
+      const Matrix aa = ta == Trans::kNo ? a : a.transposed();
+      const Matrix bb = tb == Trans::kNo ? b : b.transposed();
+      Matrix serial(m, n);
+      Matrix threaded(m, n);
+      override_thread_budget(1);
+      gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, serial);
+      override_thread_budget(8);
+      gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, threaded);
+      override_thread_budget(0);
+      EXPECT_TRUE(bitwise_equal(serial, threaded)) << "n=" << n;
+    }
   }
 }
 

@@ -124,6 +124,20 @@ TEST(ThreadDeterminism, TrainingBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ThreadDeterminism, NllGradientRowBlocksBitwiseIdentical) {
+  // The engine's NLL-gradient loop runs on the pool once the output has
+  // at least two 64k-element chunks: 8192 rows x 16 classes = 2 chunks.
+  const Graph g = make_graph(8192, 4, 8, 16, 74);
+  const DistProblem problem = DistProblem::prepare(g);
+  GnnConfig config = GnnConfig::three_layer(8, 16, 8);
+  override_thread_budget(1);
+  const TrainedState serial = train("1d", problem, config, 1, 2);
+  override_thread_budget(8);
+  const TrainedState threaded = train("1d", problem, config, 1, 2);
+  override_thread_budget(0);
+  expect_bitwise_equal(serial, threaded, "1d p=1 nll");
+}
+
 TEST(EpochCacheMeter, CachedChargesBitwiseMatchUncachedSeedBehavior) {
   const Graph g = make_graph(192, 8, 12, 4, 72);
   const DistProblem problem = DistProblem::prepare(g);
