@@ -54,18 +54,23 @@ void BM_SpmmVsDegree(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmVsDegree)->Arg(8)->Arg(16)->Arg(32)->Arg(62)->Arg(128);
 
-// (2) GFlop/s vs dense width, fixed amazon-like degree 24.
+// (2) GFlop/s vs dense width, fixed amazon-like degree 24. Widths 8 and
+// 32 are the output layer and the summa-2d hidden width; accumulate=1 is
+// the shape of every stage after the first in the distributed stage
+// loops (y read and added to), accumulate=0 the write-first stage.
 void BM_SpmmVsWidth(benchmark::State& state) {
   const Index n = 16384;
   const Index f = state.range(0);
+  const bool accumulate = state.range(1) != 0;
   const Csr a = make_er(n, 24, 13);
   Matrix x(n, f);
   Rng rng(14);
   x.fill_uniform(rng, -1, 1);
   Matrix y(n, f);
   for (auto _ : state) {
-    a.spmm(x, y, /*accumulate=*/false);
+    a.spmm(x, y, accumulate);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   const double flops = 2.0 * static_cast<double>(a.nnz()) *
                        static_cast<double>(f);
@@ -73,7 +78,9 @@ void BM_SpmmVsWidth(benchmark::State& state) {
       flops * static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SpmmVsWidth)->Arg(2)->Arg(4)->Arg(16)->Arg(64)->Arg(300);
+BENCHMARK(BM_SpmmVsWidth)
+    ->ArgNames({"f", "accumulate"})
+    ->ArgsProduct({{2, 4, 8, 16, 32, 64, 300}, {0, 1}});
 
 // (3) Hypersparse 2D blocks: one diagonal block of a g x g partition.
 // Reported avg_degree falls as ~d/g while per-block GFlop/s sinks.

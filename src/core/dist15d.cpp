@@ -111,7 +111,6 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     team_.quiesce();
   }
   t.resize(local_rows(), f);
-  t.set_zero();
 
   // Broadcast stages restricted to this slice's stripe j ≡ t (mod c):
   // the broadcast volume of the 1D algorithm divided by c. The stage root
@@ -119,14 +118,19 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   // slice root of stage j is group j's member).
   std::vector<int> stages;
   for (int j = t_; j < groups_; j += c_) stages.push_back(j);
+  // The first listed stage spans all rows of T and writes it. A halo
+  // sweep skips stages it can prove empty, and an empty stripe runs no
+  // stage, so both start from a zero fill.
+  if (use_halo_ || stages.empty()) t.set_zero();
   const auto stage_rows = [&](int j) {
     return row_starts_[static_cast<std::size_t>(j) + 1] -
            row_starts_[static_cast<std::size_t>(j)];
   };
-  const auto spmm_stage = [&](int j, const Matrix* hj) {
+  const auto spmm_stage = [&](int s, const Matrix* hj) {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
+    const int j = stages[static_cast<std::size_t>(s)];
     const Csr& a = at_stripe_.at(j);
-    a.spmm(*hj, t, /*accumulate=*/true);
+    a.spmm(*hj, t, /*accumulate=*/s > 0);
     stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
                         static_cast<double>(f), dist::block_degree(a));
   };
@@ -143,14 +147,15 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
         halo_, CommCategory::kHalo, machine(), stats, t);
   } else if (!(dist::overlap_enabled() && slice_.size() > 1 &&
                !stages.empty())) {
-    for (int j : stages) {
+    for (int s = 0; s < static_cast<int>(stages.size()); ++s) {
+      const int j = stages[static_cast<std::size_t>(s)];
       const Matrix* hj = nullptr;
       {
         ScopedPhase scope(stats.profiler, Phase::kDenseComm);
         hj = dist::broadcast_dense_stage(h, hj_recv_, stage_rows(j), f, j,
                                          slice_, CommCategory::kDense);
       }
-      spmm_stage(j, hj);
+      spmm_stage(s, hj);
     }
   } else {
     // Overlapped: the next stripe stage's H panel is in flight while this
@@ -162,11 +167,8 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
           dn.post(h, recv, stage_rows(j), f, j, slice_,
                   CommCategory::kDense);
         },
-        [&](int s, const Matrix* hj) {
-          spmm_stage(stages[static_cast<std::size_t>(s)], hj);
-        },
-        hj_recv_, hj_recv2_, world_.meter(), stats.work, machine(),
-        stats.profiler);
+        spmm_stage, hj_recv_, hj_recv2_, world_.meter(), stats.work,
+        machine(), stats.profiler);
   }
 
   // Team all-reduce completes the contraction and leaves T replicated

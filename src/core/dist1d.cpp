@@ -69,11 +69,11 @@ void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const int p = world_.size();
   const Index f = h.cols();
   t.resize(local_rows(), f);
-  t.set_zero();
 
   // Algorithm 1: for j = 1..p, broadcast H_j and accumulate A^T_ij H_j.
   // The stage root broadcasts straight from h; everyone else receives
-  // into the reused stage buffers.
+  // into the reused stage buffers. Every A^T_ij spans all rows of T, so
+  // stage 0 writes T instead of accumulating into a zero fill.
   const auto stage_rows = [&](int j) {
     return row_starts_[static_cast<std::size_t>(j) + 1] -
            row_starts_[static_cast<std::size_t>(j)];
@@ -81,7 +81,7 @@ void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const auto spmm_stage = [&](int j, const Matrix* hj) {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
     const Csr& a = at_blocks_[static_cast<std::size_t>(j)];
-    a.spmm(*hj, t, /*accumulate=*/true);
+    a.spmm(*hj, t, /*accumulate=*/j > 0);
     stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
                         static_cast<double>(f), dist::block_degree(a));
   };
@@ -92,7 +92,9 @@ void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     // posted, the self-block SpMM runs while remote rows are in flight,
     // and each peer's compacted stage drains its rows as they land — in
     // the same j-ascending accumulation order, so T is bitwise the
-    // broadcast path's.
+    // broadcast path's. The sweep skips stages it can prove empty, so
+    // T starts from a zero fill.
+    t.set_zero();
     dist::halo_spmm_pipeline(
         h, &at_blocks_[static_cast<std::size_t>(world_.rank())],
         world_.rank(), world_, halo_, CommCategory::kHalo, machine(), stats,

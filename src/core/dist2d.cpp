@@ -33,7 +33,6 @@ void Algebra2D::summa_spmm(const Csr& my_sparse,
     grid_.row.quiesce();
   }
   t.resize(local_rows(), my_dense.cols());
-  t.set_zero();
   dist::summa_stage_loop(
       my_sparse, cache, grid_.row, my_dense, grid_.col,
       [&](int k) {

@@ -83,7 +83,7 @@ class Algebra2D final : public DistSpmmAlgebra {
  private:
   /// SUMMA T = S * D where S is this rank's sparse block family (row
   /// broadcasts of `my_sparse`, cached across epochs in `cache`) and D the
-  /// dense blocks (column broadcasts of `my_dense`); accumulates into `t`
+  /// dense blocks (column broadcasts of `my_dense`); overwrites `t`
   /// (resized, storage reused). Used by both A^T H (forward) and A G
   /// (backward).
   void summa_spmm(const Csr& my_sparse, dist::SparseStageCache& cache,

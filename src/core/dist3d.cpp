@@ -42,7 +42,6 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
     grid_.row.quiesce();
   }
   t_partial_.resize(coarse_rows, w);
-  t_partial_.set_zero();
   dist::summa_stage_loop(
       my_sparse, cache, grid_.row, my_dense, grid_.col,
       [&](int s) {

@@ -541,9 +541,9 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
     cache.headers.assign(static_cast<std::size_t>(stages), {0, 0, 0});
   }
 
-  const auto spmm_stage = [&](const Csr* a, const Matrix* d) {
+  const auto spmm_stage = [&](int s, const Csr* a, const Matrix* d) {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    a->spmm(*d, acc, /*accumulate=*/true);
+    a->spmm(*d, acc, /*accumulate=*/s > 0);
     stats.work.add_spmm(machine, static_cast<double>(a->nnz()),
                         static_cast<double>(w), block_degree(*a));
   };
@@ -577,7 +577,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
         d = broadcast_dense_stage(my_dense, ws.stage_recv, stage_rows(s), w,
                                   s, dense_comm, CommCategory::kDense);
       }
-      spmm_stage(a, d);
+      spmm_stage(s, a, d);
     }
     cache.ready = epoch_cache_enabled();
     return;
@@ -655,7 +655,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                    dense_comm, CommCategory::kDense);
     }
     region.open();
-    spmm_stage(a, d);
+    spmm_stage(s, a, d);
   }
   region.close();
   cache.ready = epoch_cache_enabled();

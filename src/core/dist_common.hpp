@@ -709,7 +709,9 @@ void overlapped_dense_stages(
 /// (kSparse; received into and cached by `cache`, replayed from it in
 /// cached epochs) and the stage-root's dense block — (stage_rows(s) x
 /// my_dense.cols()), root s — travels along `dense_comm` (kDense); the
-/// local SpMM accumulates into `acc`. With overlap enabled, stage s+1's
+/// local SpMM of stage 0 writes `acc` (every stage block spans all of its
+/// rows, so it needs no zero fill) and later stages accumulate into it.
+/// `stages` must be at least 1. With overlap enabled, stage s+1's
 /// sparse payloads and dense panel are posted through the nonblocking
 /// layer before stage s's SpMM runs (the CSR header travels two stages
 /// ahead), cached blocks are served from the same buffers the prefetch

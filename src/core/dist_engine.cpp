@@ -133,14 +133,15 @@ void DistEngine::backward() {
   const Index f_last = config_.dims.back();
   const auto [fL0, fL1] = algebra_->feat_slice(f_last);
   g_buf_.resize(local_rows, fL1 - fL0);
-  g_buf_.set_zero();
   {
     ScopedPhase scope(stats_.profiler, Phase::kMisc);
-    if (problem_.labeled_count > 0) {
+    if (problem_.labeled_count == 0) {
+      g_buf_.set_zero();
+    } else {
       const Real scale =
           Real{-1} / static_cast<Real>(problem_.labeled_count);
-      // Row blocks write disjoint rows of g_buf_, so every chunk count
-      // gives the same bits.
+      // Row blocks write every element of their disjoint rows (zero on
+      // unlabeled rows), so every chunk count gives the same bits.
       parallel_for(
           local_rows,
           plan_chunks(static_cast<double>(g_buf_.size()), kMinElemsPerChunk,
@@ -149,7 +150,10 @@ void DistEngine::backward() {
             for (Index r = r0; r < r1; ++r) {
               const Index label =
                   labels[static_cast<std::size_t>(row_lo + r)];
-              if (label < 0) continue;
+              if (label < 0) {
+                for (Index c = 0; c < fL1 - fL0; ++c) g_buf_(r, c) = Real{0};
+                continue;
+              }
               for (Index c = 0; c < fL1 - fL0; ++c) {
                 g_buf_(r, c) = -std::exp(output_rows_(r, fL0 + c)) * scale;
               }

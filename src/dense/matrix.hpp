@@ -12,9 +12,9 @@
 namespace cagnet {
 
 /// Dense row-major matrix of Real. Activations H^l are (n x f), weights W^l
-/// are (f_in x f_out). Row-major keeps SpMM's inner axpy over a contiguous
-/// feature row, which is the layout cuSPARSE csrmm2 effectively consumed in
-/// the paper's implementation.
+/// are (f_in x f_out). Row-major keeps SpMM's register strips over a
+/// contiguous feature row, which is the layout cuSPARSE csrmm2 effectively
+/// consumed in the paper's implementation.
 class Matrix {
  public:
   Matrix() = default;

@@ -2,6 +2,9 @@
 // blocking, SpMM against dense reference, generators, and sparsity stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/dense/gemm.hpp"
@@ -435,47 +438,150 @@ TEST(Stats, HypersparsityEmptyRowFractionGrowsWithGrid) {
   EXPECT_GT(rep16.avg_empty_row_fraction, rep2.avg_empty_row_fraction);
 }
 
+/// Index of the first element whose bits differ, or -1. Bit equality,
+/// unlike max_abs_diff == 0, also tells NaN from NaN and +0 from -0.
+template <typename T>
+std::ptrdiff_t first_bit_mismatch(const T* a, const T* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(a + i, b + i, sizeof(T)) != 0) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+std::ptrdiff_t first_bit_mismatch(const Matrix& a, const Matrix& b) {
+  EXPECT_EQ(a.size(), b.size());
+  return first_bit_mismatch(a.data(), b.data(),
+                            std::min(a.flat().size(), b.flat().size()));
+}
+
+/// The kernel's order contract written out as plain scalar code: each
+/// y element is one chain over its row's nonzeros in ascending p, from y
+/// (accumulate) or +0, one rounded multiply and one rounded add a step.
+template <typename T>
+void chain_oracle(const Csr& a, const std::vector<T>& vals,
+                  const std::vector<T>& x, Index f, std::vector<T>& y,
+                  bool accumulate) {
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (Index j = 0; j < f; ++j) {
+      T acc = accumulate ? y[static_cast<std::size_t>(i * f + j)] : T{0};
+      for (Index p = rp[i]; p < rp[i + 1]; ++p) {
+        const T prod = vals[static_cast<std::size_t>(p)] *
+                       x[static_cast<std::size_t>(ci[p] * f + j)];
+        acc = acc + prod;
+      }
+      y[static_cast<std::size_t>(i * f + j)] = acc;
+    }
+  }
+}
+
+template <typename T>
+void expect_kernel_matches_chain_oracle() {
+  // Rows 0 mod 4 are empty; the rest hold up to ~9 nonzeros.
+  Rng rng(71);
+  const Index rows = 57;
+  const Index cols = 41;
+  Coo coo(rows, cols);
+  for (Index i = 0; i < rows; ++i) {
+    if (i % 4 == 0) continue;
+    const Index k = static_cast<Index>(rng.next_below(10));
+    for (Index e = 0; e < k; ++e) {
+      coo.add(i, static_cast<Index>(rng.next_below(cols)),
+              rng.next_double(-1, 1));
+    }
+  }
+  coo.sort_and_combine();
+  const Csr a = Csr::from_coo(coo);
+  ASSERT_GT(a.nnz(), 0);
+  const std::vector<T> vals(a.values().begin(), a.values().end());
+  // Signed zeros in x and y make a chain that skips its +0 start, or
+  // starts from the first product, visible in the bits.
+  const auto draw = [&](std::size_t n) {
+    std::vector<T> v(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      v[k] = k % 7 == 0   ? -T{0}
+             : k % 7 == 3 ? T{0}
+                          : static_cast<T>(rng.next_double(-1, 1));
+    }
+    return v;
+  };
+  for (Index f : {1, 2, 3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 64, 65}) {
+    const std::vector<T> x = draw(static_cast<std::size_t>(cols * f));
+    const std::vector<T> y0 = draw(static_cast<std::size_t>(rows * f));
+    for (bool accumulate : {false, true}) {
+      std::vector<T> want = y0;
+      chain_oracle(a, vals, x, f, want, accumulate);
+      for (int threads : {1, 3}) {
+        // Overwriting must not read y: a NaN prefill must not show.
+        std::vector<T> got =
+            accumulate ? y0
+                       : std::vector<T>(y0.size(),
+                                        std::numeric_limits<T>::quiet_NaN());
+        spmm_csr_kernel<T>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
+                           vals.data(), x.data(), f, got.data(), accumulate,
+                           threads);
+        EXPECT_EQ(first_bit_mismatch(want.data(), got.data(), want.size()),
+                  -1)
+            << "f=" << f << " accumulate=" << accumulate
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(SpmmKernel, FloatMatchesChainOracleBitwise) {
+  expect_kernel_matches_chain_oracle<float>();
+}
+
+TEST(SpmmKernel, DoubleMatchesChainOracleBitwise) {
+  expect_kernel_matches_chain_oracle<double>();
+}
+
 TEST(SpmmKernel, ThreadedMatchesSerialBitwise) {
   // The row-block parallelization partitions rows across workers, so every
   // thread count must produce bitwise-identical output (each row's flops
   // are computed in the same order by exactly one thread).
   Rng rng(17);
   const Csr a = Csr::from_coo(erdos_renyi(512, 9, rng));
-  const Index f = 7;
-  Matrix x(a.cols(), f);
-  x.fill_uniform(rng, -1, 1);
+  for (Index f : {7, 16, 33, 64}) {
+    Matrix x(a.cols(), f);
+    x.fill_uniform(rng, -1, 1);
 
-  Matrix serial(a.rows(), f);
-  spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(), x.data(), f, serial.data(),
-                        /*accumulate=*/false, /*num_threads=*/1);
-  for (int threads : {2, 3, 8, 64}) {
-    Matrix parallel(a.rows(), f);
+    Matrix serial(a.rows(), f);
     spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                          a.values().data(), x.data(), f, parallel.data(),
-                          /*accumulate=*/false, threads);
-    EXPECT_EQ(Matrix::max_abs_diff(serial, parallel), 0.0)
-        << threads << " threads";
+                          a.values().data(), x.data(), f, serial.data(),
+                          /*accumulate=*/false, /*num_threads=*/1);
+    for (int threads : {2, 3, 8, 64}) {
+      Matrix parallel(a.rows(), f);
+      spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
+                            a.values().data(), x.data(), f, parallel.data(),
+                            /*accumulate=*/false, threads);
+      EXPECT_EQ(first_bit_mismatch(serial, parallel), -1)
+          << "f=" << f << " threads=" << threads;
+    }
   }
 }
 
 TEST(SpmmKernel, ThreadedAccumulateMatchesSerial) {
   Rng rng(18);
   const Csr a = Csr::from_coo(erdos_renyi(300, 6, rng));
-  const Index f = 5;
-  Matrix x(a.cols(), f);
-  x.fill_uniform(rng, -1, 1);
-  Matrix serial(a.rows(), f);
-  serial.fill(0.5);
-  Matrix parallel(a.rows(), f);
-  parallel.fill(0.5);
-  spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(), x.data(), f, serial.data(),
-                        /*accumulate=*/true, /*num_threads=*/1);
-  spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(), x.data(), f, parallel.data(),
-                        /*accumulate=*/true, /*num_threads=*/4);
-  EXPECT_EQ(Matrix::max_abs_diff(serial, parallel), 0.0);
+  for (Index f : {7, 16, 33, 64}) {
+    Matrix x(a.cols(), f);
+    x.fill_uniform(rng, -1, 1);
+    Matrix serial(a.rows(), f);
+    serial.fill_uniform(rng, -1, 1);
+    Matrix parallel = serial;
+    spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
+                          a.values().data(), x.data(), f, serial.data(),
+                          /*accumulate=*/true, /*num_threads=*/1);
+    spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
+                          a.values().data(), x.data(), f, parallel.data(),
+                          /*accumulate=*/true, /*num_threads=*/4);
+    EXPECT_EQ(first_bit_mismatch(serial, parallel), -1) << "f=" << f;
+  }
 }
 
 TEST(SpmmKernel, MoreThreadsThanRowsIsSafe) {
