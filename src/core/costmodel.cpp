@@ -9,6 +9,11 @@ namespace cagnet {
 
 namespace {
 double lg(double p) { return p <= 1 ? 0.0 : std::log2(p); }
+
+/// `full` without the layer-1 forward aggregation term.
+CommCost minus(CommCost full, CommCost term) {
+  return {full.latency_units - term.latency_units, full.words - term.words};
+}
 }  // namespace
 
 CostInputs CostInputs::from_random(double n, double nnz, double f, int p,
@@ -87,6 +92,29 @@ CommCost cost_3d(const CostInputs& in) {
   const double p23 = p13 * p13;
   return {L * 4.0 * p13,
           L * (2.0 * in.nnz / p23 + 12.0 * in.n * in.f / p23)};
+}
+
+CommCost cost_1d_steady(const CostInputs& in, double f0) {
+  return minus(cost_1d(in), {lg(in.p), in.edgecut * f0});
+}
+
+CommCost cost_15d_steady(const CostInputs& in, int c, double f0) {
+  const double cc = c;
+  return minus(cost_15d(in, c),
+               {lg(in.p) + 2.0,
+                in.n * f0 / cc + 2.0 * in.n * f0 * cc / in.p});
+}
+
+CommCost cost_2d_steady(const CostInputs& in, double f0) {
+  const double rp = std::sqrt(static_cast<double>(in.p));
+  return minus(cost_2d(in), {2.0 * rp, in.nnz / rp + in.n * f0 / rp});
+}
+
+CommCost cost_3d_steady(const CostInputs& in, double f0) {
+  const double p13 = std::cbrt(static_cast<double>(in.p));
+  const double p23 = p13 * p13;
+  return minus(cost_3d(in),
+               {2.0 * p13, in.nnz / p23 + 2.0 * in.n * f0 / p23});
 }
 
 // Memory accounting (words per process). Dense layer state is H^l for all

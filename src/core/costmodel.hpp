@@ -87,6 +87,24 @@ CommCost cost_2d_rectangular_forward(const CostInputs& in, int pr, int pc);
 ///   words = L (2 nnz / P^(2/3) + 12 n f / P^(2/3)).
 CommCost cost_3d(const CostInputs& in);
 
+/// Steady-state (epoch >= 2) forms of the four closed forms above. H^0 = X
+/// never changes, so the layer-1 forward aggregation T^1 = A^T H^0 is
+/// epoch-invariant; the algebras aggregate it once (dist::InputAggCache)
+/// and later epochs stop paying its communication. Each steady form is
+/// the closed form minus that one term at the input width `f0` (the
+/// closed forms charge every layer at the average width in.f):
+///   1D    lat lg P,          words edgecut * f0
+///   1.5D  lat lg P + 2,      words n f0 / c + 2 n f0 c / P
+///   2D    lat 2 sqrt(P),     words nnz / sqrt(P) + n f0 / sqrt(P)
+///   3D    lat 2 P^(1/3),     words nnz / P^(2/3) + 2 n f0 / P^(2/3)
+/// — the broadcast stages (1D), the stripe broadcasts plus the team
+/// all-reduce (1.5D), the sparse and dense SUMMA stages (2D), and those
+/// plus the fiber reduce-scatter (3D) of one forward SpMM.
+CommCost cost_1d_steady(const CostInputs& in, double f0);
+CommCost cost_15d_steady(const CostInputs& in, int c, double f0);
+CommCost cost_2d_steady(const CostInputs& in, double f0);
+CommCost cost_3d_steady(const CostInputs& in, double f0);
+
 /// Per-process memory words for storing A, H (all layers), and W under each
 /// distribution, used for the 3D replication-cost discussion and the 1.5D
 /// ablation. Includes the P^(1/3) (3D) and c (1.5D) replication factors on

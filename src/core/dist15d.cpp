@@ -27,6 +27,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   row_hi_ = row_starts_[static_cast<std::size_t>(g_) + 1];
 
   for (int j = t_; j < groups_; j += c_) {
+    stages_.push_back(j);
     Csr block = problem.at.block(row_lo_, row_hi_,
                                  row_starts_[static_cast<std::size_t>(j)],
                                  row_starts_[static_cast<std::size_t>(j) + 1]);
@@ -98,11 +99,20 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
 }
 
 void Algebra15D::begin_epoch(int epoch) {
+  input_agg_.arm();
   dist::halo_begin_epoch(epoch, use_halo_, slice_, halo_);
 }
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const Index f = h.cols();
+  const bool input = input_agg_.take_armed(h);
+  if (input && input_agg_.ready()) {
+    // A hit leaves deferred_ inactive: times_weight runs the plain GEMM,
+    // bitwise the chunked one (GEMM row blocks are partition-independent).
+    // Release point as below: team peers may still read T's chunks.
+    input_agg_.serve(t, c_ > 1 ? &team_ : nullptr, stats.profiler);
+    return;
+  }
   if (dist::overlap_enabled() && c_ > 1) {
     // Release point for the previous layer's deferred team reduction:
     // team peers read this rank's T chunks at their waits, and `t` is
@@ -112,23 +122,21 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   }
   t.resize(local_rows(), f);
 
-  // Broadcast stages restricted to this slice's stripe j ≡ t (mod c):
-  // the broadcast volume of the 1D algorithm divided by c. The stage root
-  // broadcasts straight from h (slice ranks are ordered by group, so the
-  // slice root of stage j is group j's member).
-  std::vector<int> stages;
-  for (int j = t_; j < groups_; j += c_) stages.push_back(j);
+  // Broadcast stages restricted to this slice's stripe (stages_, j ≡ t
+  // mod c): the broadcast volume of the 1D algorithm divided by c. The
+  // stage root broadcasts straight from h (slice ranks are ordered by
+  // group, so the slice root of stage j is group j's member).
   // The first listed stage spans all rows of T and writes it. A halo
   // sweep skips stages it can prove empty, and an empty stripe runs no
   // stage, so both start from a zero fill.
-  if (use_halo_ || stages.empty()) t.set_zero();
+  if (use_halo_ || stages_.empty()) t.set_zero();
   const auto stage_rows = [&](int j) {
     return row_starts_[static_cast<std::size_t>(j) + 1] -
            row_starts_[static_cast<std::size_t>(j)];
   };
   const auto spmm_stage = [&](int s, const Matrix* hj) {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    const int j = stages[static_cast<std::size_t>(s)];
+    const int j = stages_[static_cast<std::size_t>(s)];
     const Csr& a = at_stripe_.at(j);
     a.spmm(*hj, t, /*accumulate=*/s > 0);
     stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
@@ -144,11 +152,11 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     // stripe partial of T is bitwise identical.
     dist::halo_spmm_pipeline(
         h, (g_ % c_) == t_ ? &at_stripe_.at(g_) : nullptr, g_, slice_,
-        halo_, CommCategory::kHalo, machine(), stats, t);
+        halo_, CommCategory::kHalo, machine(), stats, t, /*exact=*/input);
   } else if (!(dist::overlap_enabled() && slice_.size() > 1 &&
-               !stages.empty())) {
-    for (int s = 0; s < static_cast<int>(stages.size()); ++s) {
-      const int j = stages[static_cast<std::size_t>(s)];
+               !stages_.empty())) {
+    for (int s = 0; s < static_cast<int>(stages_.size()); ++s) {
+      const int j = stages_[static_cast<std::size_t>(s)];
       const Matrix* hj = nullptr;
       {
         ScopedPhase scope(stats.profiler, Phase::kDenseComm);
@@ -161,9 +169,9 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     // Overlapped: the next stripe stage's H panel is in flight while this
     // stage's SpMM accumulates (H is stable for the whole epoch).
     dist::overlapped_dense_stages(
-        static_cast<int>(stages.size()),
+        static_cast<int>(stages_.size()),
         [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
-          const int j = stages[static_cast<std::size_t>(s)];
+          const int j = stages_[static_cast<std::size_t>(s)];
           dn.post(h, recv, stage_rows(j), f, j, slice_,
                   CommCategory::kDense);
         },
@@ -173,10 +181,12 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
 
   // Team all-reduce completes the contraction and leaves T replicated
   // across the c team members (the 1.5D replication cost in flight).
-  if (c_ == 1) return;
-  if (!dist::overlap_enabled()) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    team_.allreduce_sum(t.flat(), CommCategory::kDense);
+  if (c_ == 1 || !dist::overlap_enabled()) {
+    if (c_ > 1) {
+      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+      team_.allreduce_sum(t.flat(), CommCategory::kDense);
+    }
+    if (input) input_agg_.fill(t);
     return;
   }
   // Overlap mode: defer the reduction as row-chunked nonblocking ops; the
@@ -210,6 +220,7 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
         CommCategory::kDense, /*charged=*/false));
   }
   deferred_.active = true;
+  deferred_.fill_input = input;
 }
 
 void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
@@ -250,6 +261,7 @@ void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
     }
   }
   region.close();
+  if (deferred_.fill_input) input_agg_.fill(t_reduced_);
   // Source-release contract: team peers may still be reading this rank's
   // T chunks; spmm_at quiesces the team before T is next rewritten.
 }

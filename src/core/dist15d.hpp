@@ -24,6 +24,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/core/dist_engine.hpp"
 
@@ -44,18 +45,22 @@ class Algebra15D final : public DistSpmmAlgebra {
   Index row_hi() const override { return row_hi_; }
   bool owns_loss_rows() const override { return t_ == 0; }
 
+  /// Serves the input aggregation from dist::InputAggCache after its
+  /// exact fill, which completes in times_weight in overlap mode.
   void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) override;
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
-  /// Arm the slice halo plan's bounded-staleness state for this epoch
-  /// (dist::halo_begin_epoch); collective over the slice in adaptive
-  /// mode, a no-op when CAGNET_STALE is off or halo mode is inactive.
+  /// Arm the input-aggregation cache and the slice halo plan's
+  /// bounded-staleness state for this epoch (dist::halo_begin_epoch);
+  /// collective over the slice in adaptive stale mode, purely local
+  /// otherwise.
   void begin_epoch(int epoch) override;
 
   /// With overlap enabled, spmm_at defers the team (replica) all-reduce of
   /// T as row-chunked nonblocking ops, and this override interleaves their
   /// waits with the local Z = T W GEMM chunk by chunk — the reduction of
   /// chunk c+1 is in flight while chunk c multiplies. Results and metered
-  /// charges are bitwise identical to the blocking form.
+  /// charges are bitwise identical to the blocking form. A deferred
+  /// input-aggregation fill is stored here, once its reduction landed.
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
 
@@ -114,6 +119,8 @@ class Algebra15D final : public DistSpmmAlgebra {
 
   /// at_stripe_[j] for j ≡ t (mod c): A^T[R_g, R_j].
   std::map<int, Csr> at_stripe_;
+  /// This slice's forward stages j ≡ t (mod c), ascending.
+  std::vector<int> stages_;
   /// a_stripe_[j] = A[R_j, R_g] (transposes of the above), the backward
   /// outer-product operands.
   std::map<int, Csr> a_stripe_;
@@ -128,6 +135,7 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// blocking all-reduce charge for any team size.
   struct DeferredTeamReduce {
     bool active = false;
+    bool fill_input = false;  ///< completes the input-aggregation fill
     std::vector<PendingOp> ops;                       ///< one per row chunk
     std::vector<std::pair<Index, Index>> rows;        ///< chunk row ranges
     std::vector<std::pair<double, double>> charges;   ///< (lat, words)
@@ -142,6 +150,7 @@ class Algebra15D final : public DistSpmmAlgebra {
   Matrix t_reduced_;   ///< out-of-place reduced T (reused)
   Matrix t_chunk_;     ///< reduced-T row chunk staged for the GEMM (reused)
   Matrix z_chunk_;     ///< per-chunk GEMM output (reused)
+  dist::InputAggCache input_agg_;  ///< T^1 = A^T H^0, filled in epoch 1
 };
 
 /// The 1.5D trainer: the shared engine driven by Algebra15D.

@@ -62,10 +62,22 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
 }
 
 void Algebra1D::begin_epoch(int epoch) {
+  input_agg_.arm();
   dist::halo_begin_epoch(epoch, use_halo_, world_, halo_);
 }
 
 void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
+  const bool input = input_agg_.take_armed(h);
+  if (input && input_agg_.ready()) {
+    input_agg_.serve(t, /*release=*/nullptr, stats.profiler);
+    return;
+  }
+  aggregate(h, t, stats, /*exact=*/input);
+  if (input) input_agg_.fill(t);
+}
+
+void Algebra1D::aggregate(const Matrix& h, Matrix& t, EpochStats& stats,
+                          bool exact) {
   const int p = world_.size();
   const Index f = h.cols();
   t.resize(local_rows(), f);
@@ -98,7 +110,7 @@ void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     dist::halo_spmm_pipeline(
         h, &at_blocks_[static_cast<std::size_t>(world_.rank())],
         world_.rank(), world_, halo_, CommCategory::kHalo, machine(), stats,
-        t);
+        t, exact);
     return;
   }
 
@@ -144,15 +156,19 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     if (has_u_release_) world_.quiesce_op(u_release_ticket_);
   }
   // 1D outer product: U_partial = A(:, my rows) * G_i, a full n x f
-  // low-rank partial (the O(nf) intermediate of Section IV-A.3) ...
-  u_partial_.resize(n_, f);
+  // low-rank partial (the O(nf) intermediate of Section IV-A.3) ... With
+  // one rank the partial is U itself, written straight into u.
+  const bool one_rank = world_.size() == 1;
+  Matrix& partial = one_rank ? u : u_partial_;
+  partial.resize(n_, f);
   {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    a_col_block_.spmm(g, u_partial_, /*accumulate=*/false);
+    a_col_block_.spmm(g, partial, /*accumulate=*/false);
     stats.work.add_spmm(machine(), static_cast<double>(a_col_block_.nnz()),
                         static_cast<double>(f),
                         dist::block_degree(a_col_block_));
   }
+  if (one_rank) return;  // no self-only reduce-scatter
   // ... reduce-scattered back to block rows. The nonblocking form skips
   // the trailing rendezvous (u_partial_'s release is the quiesce above).
   u.resize(local_rows(), f);

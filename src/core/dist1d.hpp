@@ -55,11 +55,14 @@ class Algebra1D final : public DistSpmmAlgebra {
   Index row_lo() const override { return row_lo_; }
   Index row_hi() const override { return row_hi_; }
 
+  /// Serves the input aggregation from dist::InputAggCache after its
+  /// exact fill (the first armed call).
   void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) override;
+  /// At P = 1 the outer product is U itself and runs straight into `u`.
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
-  /// Arm the halo plan's bounded-staleness state for this epoch
-  /// (dist::halo_begin_epoch); collective in adaptive mode, a no-op when
-  /// CAGNET_STALE is off or halo mode is inactive.
+  /// Arm the input-aggregation cache and the halo plan's
+  /// bounded-staleness state for this epoch (dist::halo_begin_epoch);
+  /// collective in adaptive stale mode, purely local otherwise.
   void begin_epoch(int epoch) override;
   /// True when the sparsity-aware halo exchange replaces the broadcasts
   /// (dist::halo_enabled() at construction and P > 1). Purely local.
@@ -79,6 +82,9 @@ class Algebra1D final : public DistSpmmAlgebra {
   Comm& gather_comm() override { return world_; }
 
  private:
+  /// Algorithm 1 (or the halo exchange) into `t`; `exact` bypasses the
+  /// halo codec and stale replay (the input-aggregation fill).
+  void aggregate(const Matrix& h, Matrix& t, EpochStats& stats, bool exact);
   void spmm_a_halo(const Matrix& g, Matrix& u, EpochStats& stats);
 
   Comm world_;
@@ -99,6 +105,7 @@ class Algebra1D final : public DistSpmmAlgebra {
   bool use_halo_ = false;  ///< sparsity-aware exchange instead of broadcasts
   bool use_bwd_halo_ = false;  ///< backward contribution exchange (gated)
   dist::HaloPlan halo_;    ///< built once, replayed every epoch/layer
+  dist::InputAggCache input_agg_;  ///< T^1 = A^T H^0, filled in epoch 1
 
   Matrix hj_recv_;    ///< broadcast-stage receive buffer (reused)
   Matrix hj_recv2_;   ///< double-buffer partner (overlapped prefetch)

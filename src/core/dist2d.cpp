@@ -42,8 +42,20 @@ void Algebra2D::summa_spmm(const Csr& my_sparse,
       q, t, machine(), stats, ws_);
 }
 
+void Algebra2D::begin_epoch(int epoch) {
+  (void)epoch;
+  input_agg_.arm();
+}
+
 void Algebra2D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
+  const bool input = input_agg_.take_armed(h);
+  if (input && input_agg_.ready()) {
+    // summa_spmm's release point: row peers may still read T panels.
+    input_agg_.serve(t, &grid_.row, stats.profiler);
+    return;
+  }
   summa_spmm(at_block_, at_cache_, h, t, stats);
+  if (input) input_agg_.fill(t);
 }
 
 void Algebra2D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {

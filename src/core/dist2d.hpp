@@ -50,8 +50,12 @@ class Algebra2D final : public DistSpmmAlgebra {
   bool rows_whole() const override { return false; }
   bool owns_loss_rows() const override { return grid_.j == 0; }
 
+  /// Serves the input aggregation from dist::InputAggCache after its
+  /// exact fill (the first armed call).
   void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) override;
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
+  /// Arm the input-aggregation cache. Purely local.
+  void begin_epoch(int epoch) override;
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
@@ -104,6 +108,7 @@ class Algebra2D final : public DistSpmmAlgebra {
   dist::SparseStageCache at_cache_;  ///< forward-SUMMA received A^T blocks
   dist::SparseStageCache a_cache_;   ///< backward-SUMMA received A blocks
   dist::TransposeCache trpose_cache_;
+  dist::InputAggCache input_agg_;  ///< T^1 = A^T H^0, filled in epoch 1
 };
 
 /// The 2D trainer: the shared engine driven by Algebra2D.

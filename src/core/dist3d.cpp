@@ -101,8 +101,21 @@ Csr Algebra3D::transpose_3d(const Csr& my_block) {
   return assembled;
 }
 
+void Algebra3D::begin_epoch(int epoch) {
+  (void)epoch;
+  input_agg_.arm();
+}
+
 void Algebra3D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
+  const bool input = input_agg_.take_armed(h);
+  if (input && input_agg_.ready()) {
+    // Row peers may still read T panels (the partial-SUMMA broadcasts);
+    // the fiber reads t_partial_, which a hit leaves untouched.
+    input_agg_.serve(t, &grid_.row, stats.profiler);
+    return;
+  }
   split3d_spmm(at_block_, at_cache_, h, t, stats);
+  if (input) input_agg_.fill(t);
 }
 
 void Algebra3D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {

@@ -312,6 +312,50 @@ void drain_comm(const Comm& comm) noexcept {
   }
 }
 
+bool InputAggCache::take_armed(const Matrix& h) {
+  if (!armed_) return false;
+  armed_ = false;
+  if (ready_) {
+    CAGNET_CHECK(h.data() == h_data_ && h.rows() == h_rows_ &&
+                     h.cols() == h_cols_,
+                 "input aggregation cache: the armed spmm_at does not "
+                 "multiply the H^0 block the cache was filled from");
+  } else {
+    h_data_ = h.data();
+    h_rows_ = h.rows();
+    h_cols_ = h.cols();
+  }
+  return true;
+}
+
+// [[hot-path]]
+void InputAggCache::serve(Matrix& t, Comm* release,
+                          Profiler& profiler) const {
+  if (release != nullptr && overlap_enabled()) {
+    ScopedPhase scope(profiler, Phase::kDenseComm);
+    release->quiesce();
+  }
+  ScopedPhase scope(profiler, Phase::kMisc);
+  const Index rows = t_.rows();
+  const Index cols = t_.cols();
+  t.resize(rows, cols);
+  const Real* src = t_.data();
+  Real* dst = t.data();
+  // Row blocks copy disjoint rows: bitwise the fill for any chunk count.
+  parallel_for(rows,
+               plan_chunks(static_cast<double>(t_.size()), kMinElemsPerChunk,
+                           rows),
+               [&](Index r0, Index r1) {
+                 std::copy(src + r0 * cols, src + r1 * cols, dst + r0 * cols);
+               });
+}
+
+void InputAggCache::fill(const Matrix& t) {
+  t_.resize(t.rows(), t.cols());
+  std::copy(t.flat().begin(), t.flat().end(), t_.data());
+  ready_ = true;
+}
+
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
                                  Index labeled_count, Comm& comm,
@@ -709,13 +753,16 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
   const Index f_out = w.cols();
   const auto [fo0, fo1] = block_range(f_out, parts, my_col);
   z.resize(local_rows, fo1 - fo0);
-  z.set_zero();
 
+  // Stage 0 writes Z (GEMM's chunked beta = 0 pass zero-fills even an
+  // empty stage) and later stages accumulate: bitwise a zero fill plus
+  // beta = 1 throughout, without the serial fill.
   const auto gemm_stage = [&](int m, const Matrix* t_m) {
     ScopedPhase scope(stats.profiler, Phase::kMisc);
     const auto [fm0, fm1] = block_range(f_in, parts, m);
     w.block_into(fm0, fo0, fm1 - fm0, fo1 - fo0, ws.w_block);
-    gemm(Trans::kNo, Trans::kNo, Real{1}, *t_m, ws.w_block, Real{1}, z);
+    gemm(Trans::kNo, Trans::kNo, Real{1}, *t_m, ws.w_block,
+         m == 0 ? Real{0} : Real{1}, z);
     stats.work.add_gemm(machine, 2.0 * static_cast<double>(local_rows) *
                                      static_cast<double>(fm1 - fm0) *
                                      static_cast<double>(fo1 - fo0));
@@ -1127,6 +1174,12 @@ const Real* drain_halo_peer(PendingOp& op, const HaloPlan& plan, int peer,
   return decode_dst;
 }
 
+/// Row codec of one halo exchange over `p` ranks: the CAGNET_COMPRESS row
+/// mode, or off for a one-rank exchange or an `exact` one.
+CompressMode halo_row_codec(int p, bool exact) {
+  return p > 1 && !exact ? row_compress_mode() : CompressMode::kOff;
+}
+
 /// Threaded row gather: copy `rows` of `src` (f-wide) into `dst`
 /// row-major. Chunks write disjoint destination rows, so every chunk
 /// count is bitwise-identical.
@@ -1263,16 +1316,16 @@ void halo_stale_replay(const Matrix& h, const Csr* self_block, int self,
 /// outgoing rows — per aggregating destination a partial SpMM of the
 /// dest's compacted coupling segment against the whole local H (one
 /// pre-reduced row per distinct dest T row, Phase::kSpmm, metered as
-/// local work), per raw destination the plain row gather. Skipped
-/// adaptive destinations stage nothing (zero-length chunks keep the
-/// collective in lockstep). The staged matrix then rides the ordinary
-/// halo_exchange_begin — iota pack rows — so double-buffering,
-/// compression, overlap, and charging stay in one place.
-void build_preagg_stage(const Matrix& h, int self, HaloPlan& plan,
+/// local work), per raw destination the plain row gather. With `thin`
+/// (an adaptive stale exchange), skipped destinations stage nothing
+/// (zero-length chunks keep the collective in lockstep). The staged
+/// matrix then rides the ordinary halo_exchange_begin — iota pack rows —
+/// so double-buffering, compression, overlap, and charging stay in one
+/// place.
+void build_preagg_stage(const Matrix& h, int self, HaloPlan& plan, bool thin,
                         const MachineModel& machine, EpochStats& stats) {
   HaloPlan::PreAggPlan& pa = plan.preagg;
   const HaloPlan::StaleState& st = plan.stale;
-  const bool thin = st.active && st.use_eff;
   const Index f = h.cols();
   const int p = static_cast<int>(plan.blocks.size());
   const auto np = static_cast<std::size_t>(p);
@@ -1547,7 +1600,7 @@ void build_preagg_plan(const Csr& at,
 PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
                               std::span<const std::size_t> row_offsets,
                               Comm& comm, HaloPlan& plan, CommCategory cat,
-                              Profiler& profiler) {
+                              Profiler& profiler, bool exact) {
   CAGNET_CHECK(plan.ready, "halo_exchange_begin: plan not built");
   const Index f = src.cols();
   const int p = comm.size();
@@ -1573,8 +1626,7 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
           row_offsets[j] * static_cast<std::size_t>(f);
     }
   }
-  const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+  const CompressMode rmode = halo_row_codec(p, exact);
   if (rmode != CompressMode::kOff) {
     // Lossy row payload: re-encode the exact pack per destination chunk
     // (chunk boundaries must fall on codec-chunk starts, which per-
@@ -1641,11 +1693,14 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Comm& comm, HaloPlan& plan, CommCategory cat,
                         const MachineModel& machine, EpochStats& stats,
-                        Matrix& t) {
+                        Matrix& t, bool exact) {
   HaloPlan::StaleState& st = plan.stale;
-  if (st.active) {
-    // One cache slot per forward exchange of the epoch (each layer has
-    // its own width); the counter restarts at halo_begin_epoch.
+  const bool stale = st.active && !exact;
+  if (stale) {
+    // One cache slot per stale-eligible forward exchange of the epoch
+    // (each layer has its own width); the counter restarts at
+    // halo_begin_epoch. The exact input aggregation claims none, so the
+    // slots stay keyed by layer whether or not layer 1 exchanged.
     st.cur_slot = st.layer++;
     if (st.epoch_skip) {
       halo_stale_replay(h, self_block, self, comm, plan, machine, stats, t);
@@ -1656,15 +1711,16 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
   }
   PendingOp op;
   if (plan.preagg.active) {
-    build_preagg_stage(h, self, plan, machine, stats);
+    build_preagg_stage(h, self, plan, /*thin=*/stale && st.use_eff, machine,
+                       stats);
     op = halo_exchange_begin(
         plan.preagg.stage,
         std::span<const Index>(plan.preagg.stage_rows.data(),
                                static_cast<std::size_t>(
                                    plan.preagg.stage.rows())),
         std::span<const std::size_t>(plan.preagg.epoch_stage_offsets), comm,
-        plan, cat, stats.profiler);
-  } else if (st.active && st.use_eff) {
+        plan, cat, stats.profiler, exact);
+  } else if (stale && st.use_eff) {
     op = halo_exchange_begin(
         h, std::span<const Index>(st.eff_send_rows),
         std::span<const std::size_t>(st.eff_send_row_offsets), comm, plan,
@@ -1673,27 +1729,27 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
     op = halo_exchange_begin(
         h, std::span<const Index>(plan.send_rows),
         std::span<const std::size_t>(plan.send_row_offsets), comm, plan, cat,
-        stats.profiler);
+        stats.profiler, exact);
   }
-  halo_spmm_sweep(op, h, self_block, self, comm, plan, machine, stats, t);
+  halo_spmm_sweep(op, h, self_block, self, comm, plan, machine, stats, t,
+                  exact);
 }
 
 void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                      int self, Comm& comm, HaloPlan& plan,
                      const MachineModel& machine, EpochStats& stats,
-                     Matrix& t) {
+                     Matrix& t, bool exact) {
   const int p = comm.size();
   const Index f = h.cols();
   const bool pipelined = op.pending();
   HaloPlan::StaleState& st = plan.stale;
-  const bool stale_on = st.active;
+  const bool stale_on = st.active && !exact;
   const bool adaptive = stale_on && stale_k() == kStaleAdaptive;
   const auto slot = static_cast<std::size_t>(st.cur_slot);
   // Landed-row offsets of this exchange: the preagg plan's effective
   // layout when aggregation is armed, the raw plan's otherwise.
   const std::vector<std::size_t>& roff = fwd_recv_offsets(plan);
-  const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+  const CompressMode rmode = halo_row_codec(p, exact);
   if (rmode != CompressMode::kOff) {
     // Decode staging for every peer's landed rows, laid out at the
     // exchange's recv row offsets so each stage decodes into its own
@@ -1815,8 +1871,7 @@ void halo_exchange_contributions(
   const int p = comm.size();
   const Index f = partial.cols();
   const bool pipelined = op.pending();
-  const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+  const CompressMode rmode = halo_row_codec(p, /*exact=*/false);
   // A rank that accumulates nothing (a 1.5D non-keeper: no self term and
   // every land chunk empty — its u arrives whole with the team broadcast)
   // only owes the drain bookkeeping: skip every source without touching u

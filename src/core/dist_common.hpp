@@ -297,6 +297,53 @@ struct TransposeCache {
   CostMeter end_charges;
 };
 
+/// Epoch-invariant cache of the input aggregation T^1 = A^T H^0, owned by
+/// each algebra behind its spmm_at. H^0 = X never changes, so neither does
+/// T^1: the first armed spmm_at (the fill) aggregates it exactly and keeps
+/// this rank's completed block, and every later armed call (a hit) serves
+/// a copy instead of aggregating and moving it again. The protocol:
+///
+///   - begin_epoch calls arm(): the next spmm_at multiplies H^0.
+///   - spmm_at calls take_armed(h) first; false means a hidden layer.
+///   - On an armed call with ready(), serve(t) (after the path's release
+///     point) and return.
+///   - Otherwise the armed call aggregates exactly — no row codec, no
+///     stale replay, so no lossy T^1 is frozen for the run — and hands
+///     the completed block to fill(): at the end of spmm_at, or (1.5D
+///     overlap mode) in times_weight, where the team all-reduce lands.
+///
+/// Metering: the fill charges its traffic once, live; hits charge
+/// nothing and nothing is replayed (unlike SparseStageCache), so epoch 1
+/// meters exactly what an uncached epoch does and later epochs meter
+/// exactly the layer-1 forward charges less (the term cost_*_steady drops
+/// from the closed forms). Not
+/// gated by epoch_cache_enabled and not checkpointed: a fresh engine
+/// refills on its first epoch, bitwise the same block.
+class InputAggCache {
+ public:
+  void arm() { armed_ = true; }
+  /// Consume the arming: true when this call multiplies H^0. Records h's
+  /// shape and storage for the fill, or, once ready, checks that h is
+  /// the block the cache was filled from (a typed Error otherwise, never
+  /// a stale T).
+  bool take_armed(const Matrix& h);
+  bool ready() const { return ready_; }
+  /// Copy the cached block into t, row blocks on the persistent pool.
+  /// `release` (may be null) is the communicator whose nonblocking
+  /// readers may still hold t; in overlap mode it is quiesced first.
+  void serve(Matrix& t, Comm* release, Profiler& profiler) const;
+  /// Keep the completed T^1 block of the armed call.
+  void fill(const Matrix& t);
+
+ private:
+  bool armed_ = false;
+  bool ready_ = false;
+  const Real* h_data_ = nullptr;
+  Index h_rows_ = 0;
+  Index h_cols_ = 0;
+  Matrix t_;
+};
+
 /// quiesce() a communicator without propagating abort errors — the
 /// building block of DistSpmmAlgebra::drain overrides (no-op on invalid
 /// Comms, so never-initialized sub-communicators are safe to pass).
@@ -385,7 +432,9 @@ struct HaloPlan {
     bool epoch_skip = false;  ///< fixed mode: replay every peer, no exchange
     bool use_eff = false;     ///< adaptive: ship the thinned send set
     int cur_slot = 0;         ///< forward-exchange slot of the current call
-    int layer = 0;            ///< forward exchanges begun this epoch
+    /// Stale-eligible forward exchanges begun this epoch (the exact
+    /// input-aggregation fill is not one; see halo_spmm_pipeline).
+    int layer = 0;
     int filled_epoch = -1;    ///< fixed mode: epoch of the last refresh
     int prev_epoch = -1;      ///< adaptive: epoch of the previous arm
     std::vector<char> valid;       ///< per source: cache slice filled
@@ -502,11 +551,12 @@ bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
 /// and the returned pending op is the drain handle (per-source zero-copy
 /// views; the caller must wait() it after draining). In blocking mode the
 /// exchange completes here into plan.recv and the returned op is empty.
-/// Charges are identical either way, applied to `cat`.
+/// Charges are identical either way, applied to `cat`. `exact` ships the
+/// rows uncoded even under a lossy row codec (the input-aggregation fill).
 PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
                               std::span<const std::size_t> row_offsets,
                               Comm& comm, HaloPlan& plan, CommCategory cat,
-                              Profiler& profiler);
+                              Profiler& profiler, bool exact = false);
 
 /// The pipelined halo forward of the rows-whole families: one exchange of
 /// the plan's send rows of `h` plus the stage sweep, accumulating into
@@ -520,10 +570,16 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
 /// recorded as one CostMeter overlap region paired against the previous
 /// stage's SpMM, so halo mode reports nonzero overlap_regions. Shared by
 /// the 1D (comm = world) and 1.5D (comm = slice) forwards.
+///
+/// `exact` (the input-aggregation fill, see InputAggCache) bypasses the
+/// row codec and the bounded-staleness state: it ships the full send set
+/// and claims no stale cache slot. Stale slots are therefore keyed by
+/// forward layer — slot s serves layer s + 2 — since layer 1 is the exact
+/// fill in its first epoch and a cache hit, with no exchange, after it.
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Comm& comm, HaloPlan& plan, CommCategory cat,
                         const MachineModel& machine, EpochStats& stats,
-                        Matrix& t);
+                        Matrix& t, bool exact);
 
 /// The stage sweep of halo_spmm_pipeline alone, against an exchange the
 /// caller already began (`op` from halo_exchange_begin on the same plan;
@@ -532,11 +588,12 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
 /// next batch's feature exchange a whole compute phase early while
 /// keeping the drain/accumulation discipline — ascending peer order,
 /// per-source zero-copy drains, one overlap region per stage — in one
-/// place. halo_spmm_pipeline is exactly begin + this sweep.
+/// place. halo_spmm_pipeline is exactly begin + this sweep; `exact`
+/// must match the begin's.
 void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                      int self, Comm& comm, HaloPlan& plan,
                      const MachineModel& machine, EpochStats& stats,
-                     Matrix& t);
+                     Matrix& t, bool exact = false);
 
 /// The mirrored backward contribution exchange: pack `pack_rows` of
 /// `partial` (the structurally nonzero remote contribution rows), ship

@@ -271,9 +271,10 @@ EpochResult DistEngine::train_epoch() {
     world.quiesce();
   }
 
-  // Arm the algebra's adaptive-rate state (bounded-staleness halo
-  // refresh) for this epoch. No-op unless CAGNET_STALE selects a lossy
-  // mode; collective in adaptive mode, so it runs in lockstep here.
+  // Arm the algebra's input-aggregation cache (the first spmm_at below
+  // multiplies H^0) and its adaptive-rate state (bounded-staleness halo
+  // refresh) for this epoch. Collective in adaptive stale mode, so it
+  // runs in lockstep here.
   algebra_->begin_epoch(epoch_);
 
   forward();
@@ -302,7 +303,8 @@ Matrix DistEngine::gather_output() {
     // Sampled epochs never materialize the full-graph output; inference
     // runs one full-batch forward with the current weights first — with
     // the staleness machinery disarmed (inference is exact; the cache
-    // slots belong to the training epochs' layer sequence).
+    // slots belong to the training epochs' layer sequence) and the input
+    // aggregation armed, since that forward multiplies H^0 too.
     algebra_->begin_epoch(-1);
     forward();
   }

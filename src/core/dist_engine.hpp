@@ -106,6 +106,14 @@ class DistSpmmAlgebra {
   /// behind stage k's local SpMM, and (1.5D) the team reduction of T may
   /// be left pending for times_weight to drain — charges and results are
   /// bitwise identical either way.
+  ///
+  /// Input aggregation: the first call after begin_epoch multiplies H^0,
+  /// whose aggregation T^1 = A^T H^0 never changes. The first such call
+  /// computes it exactly (no row codec, no stale replay) and the algebra
+  /// keeps its completed block (dist::InputAggCache); every later one
+  /// serves that copy, charging nothing. `h` must then be the same H^0
+  /// block (storage and shape) the cache was filled from — a typed Error
+  /// otherwise, never a stale T.
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
 
   /// Backward propagation U = A G: `g` is the local block of G^l, `u`
@@ -167,12 +175,14 @@ class DistSpmmAlgebra {
   // ---- Epoch hooks ----
 
   /// Called at the start of each full-batch epoch with the absolute epoch
-  /// number, or with -1 to disarm before an out-of-band forward (sampled
-  /// inference). The 1D/1.5D families arm their halo plan's adaptive-rate
-  /// state here (dist::halo_begin_epoch); collective in adaptive stale
-  /// mode (the per-epoch want-flag exchange runs inside), a purely local
-  /// decision otherwise. A no-op by default and whenever CAGNET_STALE is
-  /// off.
+  /// number, or with -1 to disarm the staleness state before an
+  /// out-of-band forward (sampled inference). Either way it arms the
+  /// input-aggregation cache: the next spmm_at multiplies H^0 (see
+  /// spmm_at), so every full forward must be preceded by exactly one
+  /// begin_epoch. The 1D/1.5D families also arm their halo plan's
+  /// adaptive-rate state here (dist::halo_begin_epoch); collective in
+  /// adaptive stale mode (the per-epoch want-flag exchange runs inside),
+  /// a purely local decision otherwise. A no-op by default.
   virtual void begin_epoch(int epoch) { (void)epoch; }
 
   /// Called before the backward recurrence; the 2D/3D families run their

@@ -212,6 +212,63 @@ TEST(CostModel, FromPartitionUsesMeasuredEdgecut) {
                    3.0 * (123.0 - bound.edgecut) * 16.0);
 }
 
+// Steady-state forms: the closed form minus the layer-1 forward
+// aggregation at the input width, which the algebras pay in epoch 1 only.
+// Uniform widths (f0 = f) make the removed term exactly one layer's
+// forward SpMM.
+TEST(CostModel, SteadyStateFormsExact) {
+  CostInputs in;
+  in.n = 100;
+  in.nnz = 900;
+  in.f = 10;
+  in.edgecut = 80;
+  in.p = 4;
+  in.layers = 2;
+  CommCost c = cost_1d_steady(in, 10);
+  EXPECT_DOUBLE_EQ(c.latency_units, 12.0 - 2.0);    // minus lg 4
+  EXPECT_DOUBLE_EQ(c.words, 3800.0 - 80.0 * 10);    // minus edgecut f0
+
+  in.p = 16;
+  c = cost_15d_steady(in, 4, 10);
+  EXPECT_DOUBLE_EQ(c.latency_units, 32.0 - (4.0 + 2.0));
+  EXPECT_DOUBLE_EQ(c.words, 2700.0 - (250.0 + 500.0));
+
+  in.layers = 1;
+  c = cost_2d_steady(in, 10);
+  EXPECT_DOUBLE_EQ(c.latency_units, 32.0 - 2.0 * 4);
+  EXPECT_DOUBLE_EQ(c.words, 2550.0 - (900.0 / 4 + 1000.0 / 4));
+
+  in.p = 64;
+  c = cost_3d_steady(in, 10);
+  EXPECT_DOUBLE_EQ(c.latency_units, 16.0 - 2.0 * 4);
+  EXPECT_DOUBLE_EQ(c.words, 862.5 - (900.0 / 16 + 2.0 * 1000 / 16));
+}
+
+TEST(CostModel, SteadyStateCutIsLargeOnWideInputs) {
+  // Reddit's Table VI shape (f0 = 602 against 16-wide hidden layers):
+  // the input aggregation carries a large share of every family's words,
+  // and no steady form goes negative.
+  const double n = 232965;
+  const double nnz = 114615892;
+  const double f0 = 602;
+  const CostInputs in =
+      CostInputs::from_random(n, nnz, (f0 + 16 + 16) / 3, 64, 3);
+  const CommCost full[] = {cost_1d(in), cost_15d(in, 4), cost_2d(in),
+                           cost_3d(in)};
+  const CommCost steady[] = {cost_1d_steady(in, f0),
+                             cost_15d_steady(in, 4, f0),
+                             cost_2d_steady(in, f0), cost_3d_steady(in, f0)};
+  for (int k = 0; k < 4; ++k) {
+    SCOPED_TRACE(algorithm_name(k));
+    EXPECT_GT(steady[k].words, 0.0);
+    EXPECT_GT(steady[k].latency_units, 0.0);
+    EXPECT_LT(steady[k].words, 0.9 * full[k].words);
+    EXPECT_LT(steady[k].latency_units, full[k].latency_units);
+  }
+  // 1D pays edgecut * f0 of ~2 edgecut * 3 f per epoch: about half.
+  EXPECT_LT(steady[0].words, 0.6 * full[0].words);
+}
+
 TEST(CostModel, AlgorithmNames) {
   EXPECT_STREQ(algorithm_name(0), "1D");
   EXPECT_STREQ(algorithm_name(1), "1.5D");

@@ -395,8 +395,10 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
   SKIP_IF_AMBIENT_LOSSY();
   // Planted-partition graph at P=16 under the greedy-BFS partitioner: the
   // 1D halo path's metered kHalo words must equal
-  // max_remote_rows_per_part * (sum of layer input widths) *exactly*, and
-  // the total metered volume must be >= 3x below the broadcast path's.
+  // max_remote_rows_per_part * (sum of layer input widths) *exactly* in
+  // epoch 1, and exactly the layer-1 term (input width f0) less in later
+  // epochs, which serve T^1 = A^T H^0 from the input-aggregation cache.
+  // The total metered volume must be >= 3x below the broadcast path's.
   const int p = 16;
   const Graph g = community_graph(640, 16, 16, 8, 92, /*intra=*/12.0,
                                   /*inter=*/1.0);
@@ -410,14 +412,17 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
 
   ToggleGuard guard;
   dist::set_halo_enabled(true);
+  const HaloRun first = run_trainer("1d", problem, config, p, 1);
   const HaloRun halo = run_trainer("1d", problem, config, p, 2);
   dist::set_halo_enabled(false);
   const HaloRun bcast = run_trainer("1d", problem, config, p, 2);
 
-  const double expected =
-      static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
-      static_cast<double>(sum_f_in);
-  EXPECT_EQ(halo.stats.comm.words(CommCategory::kHalo), expected);
+  const auto edgecut =
+      static_cast<double>(problem.edgecut.max_remote_rows_per_part);
+  const double expected = edgecut * static_cast<double>(sum_f_in);
+  EXPECT_EQ(first.stats.comm.words(CommCategory::kHalo), expected);
+  EXPECT_EQ(halo.stats.comm.words(CommCategory::kHalo),
+            expected - edgecut * static_cast<double>(config.dims[0]));
   EXPECT_GE(bcast.stats.comm.total_words(),
             3.0 * halo.stats.comm.total_words());
   // Bitwise training parity holds at this scale too.
@@ -432,6 +437,11 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
       static_cast<double>(g.num_edges()), static_cast<double>(sum_f_in) / 3.0,
       p, 3);
   EXPECT_GT(cost_1d_symmetric(measured).words, expected);
+  // ... and the steady-state form drops exactly the metered layer-1 term.
+  const double f0 = static_cast<double>(config.dims[0]);
+  EXPECT_EQ(cost_1d(measured).words - cost_1d_steady(measured, f0).words,
+            first.stats.comm.words(CommCategory::kHalo) -
+                halo.stats.comm.words(CommCategory::kHalo));
 }
 
 // ---- Partition/permutation contract: permuted training, original-order
