@@ -483,8 +483,12 @@ void PendingCompressedReduce::wait() {
     if (ck != nullptr) {
       ck->on_charge(rank_, op_name, CommCategory::kCompressed);
     }
+    // Whole wire bytes, like the exact collectives: a fractional byte
+    // count would make epoch sums depend on charge order.
+    const std::size_t wire =
+        2 * enc * static_cast<std::size_t>(p - 1) / static_cast<std::size_t>(p);
     meter_->add(CommCategory::kCompressed, 2.0 * ceil_log2(p),
-                2.0 * static_cast<double>(enc) * (p - 1) / p / sizeof(Real));
+                static_cast<double>(wire) / sizeof(Real));
     return;
   }
   // Reduce-scatter wire format per rank: [u64 out-length][encoded full
@@ -515,9 +519,11 @@ void PendingCompressedReduce::wait() {
     for (std::size_t i = 0; i < out_len_; ++i) out_[i] += buf.scratch[i];
   }
   if (ck != nullptr) ck->on_charge(rank_, op_name, CommCategory::kCompressed);
+  const std::size_t wire = buf.recv.data.size() *
+                           static_cast<std::size_t>(p - 1) /
+                           static_cast<std::size_t>(p);
   meter_->add(CommCategory::kCompressed, ceil_log2(p),
-              static_cast<double>(buf.recv.data.size()) * (p - 1) / p /
-                  sizeof(Real));
+              static_cast<double>(wire) / sizeof(Real));
 }
 
 PendingCompressedReduce Comm::iallreduce_sum_compressed(

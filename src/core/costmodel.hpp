@@ -100,6 +100,13 @@ CommCost cost_3d(const CostInputs& in);
 /// — the broadcast stages (1D), the stripe broadcasts plus the team
 /// all-reduce (1.5D), the sparse and dense SUMMA stages (2D), and those
 /// plus the fiber reduce-scatter (3D) of one forward SpMM.
+/// The terms keep the closed forms' conventions: one word per nonzero,
+/// and an all-reduce / reduce-scatter over k ranks at its k -> infinity
+/// volume. The metered per-rank drop equals the 1D term exactly on the
+/// halo path (with a measured edgecut) and the 2D dense share exactly; on
+/// the other paths it differs by fixed amounts the meter's conventions
+/// add or remove (a broadcast root's own block, the (k-1)/k factors, a
+/// CSR block's index words), pinned in tests/determinism_test.cpp.
 CommCost cost_1d_steady(const CostInputs& in, double f0);
 CommCost cost_15d_steady(const CostInputs& in, int c, double f0);
 CommCost cost_2d_steady(const CostInputs& in, double f0);

@@ -345,8 +345,7 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // Same pays-off gate as the 1D path: the compressed reduce-scatter is
   // an all-gather of full encoded contributions, a win only when the
   // codec ratio beats the slice size.
-  CompressMode rmode =
-      slice_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
+  CompressMode rmode = dist::row_codec(slice_.size(), /*exact=*/false);
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        slice_.size())) {
     rmode = CompressMode::kOff;

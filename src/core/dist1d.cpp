@@ -176,8 +176,7 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // it only pays at small worlds / high codec ratios; fall back to the
   // exact wire when coding would inflate the bytes (fp16 always, int8
   // beyond P ~ 7). The gate is rank-uniform: same (mode, n, P) everywhere.
-  CompressMode rmode =
-      world_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
+  CompressMode rmode = dist::row_codec(world_.size(), /*exact=*/false);
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        world_.size())) {
     rmode = CompressMode::kOff;

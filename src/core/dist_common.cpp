@@ -303,6 +303,10 @@ void set_stale_bounds(int min_k, int max_k) {
 bool preagg_enabled() { return g_preagg_enabled; }
 void set_preagg_enabled(bool on) { g_preagg_enabled = on; }
 
+CompressMode row_codec(int p, bool exact) {
+  return p > 1 && !exact ? row_compress_mode() : CompressMode::kOff;
+}
+
 void drain_comm(const Comm& comm) noexcept {
   if (!comm.valid()) return;
   try {
@@ -1174,12 +1178,6 @@ const Real* drain_halo_peer(PendingOp& op, const HaloPlan& plan, int peer,
   return decode_dst;
 }
 
-/// Row codec of one halo exchange over `p` ranks: the CAGNET_COMPRESS row
-/// mode, or off for a one-rank exchange or an `exact` one.
-CompressMode halo_row_codec(int p, bool exact) {
-  return p > 1 && !exact ? row_compress_mode() : CompressMode::kOff;
-}
-
 /// Threaded row gather: copy `rows` of `src` (f-wide) into `dst`
 /// row-major. Chunks write disjoint destination rows, so every chunk
 /// count is bitwise-identical.
@@ -1626,7 +1624,7 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
           row_offsets[j] * static_cast<std::size_t>(f);
     }
   }
-  const CompressMode rmode = halo_row_codec(p, exact);
+  const CompressMode rmode = row_codec(p, exact);
   if (rmode != CompressMode::kOff) {
     // Lossy row payload: re-encode the exact pack per destination chunk
     // (chunk boundaries must fall on codec-chunk starts, which per-
@@ -1749,7 +1747,7 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
   // Landed-row offsets of this exchange: the preagg plan's effective
   // layout when aggregation is armed, the raw plan's otherwise.
   const std::vector<std::size_t>& roff = fwd_recv_offsets(plan);
-  const CompressMode rmode = halo_row_codec(p, exact);
+  const CompressMode rmode = row_codec(p, exact);
   if (rmode != CompressMode::kOff) {
     // Decode staging for every peer's landed rows, laid out at the
     // exchange's recv row offsets so each stage decodes into its own
@@ -1871,7 +1869,7 @@ void halo_exchange_contributions(
   const int p = comm.size();
   const Index f = partial.cols();
   const bool pipelined = op.pending();
-  const CompressMode rmode = halo_row_codec(p, /*exact=*/false);
+  const CompressMode rmode = row_codec(p, /*exact=*/false);
   // A rank that accumulates nothing (a 1.5D non-keeper: no self term and
   // every land chunk empty — its u arrives whole with the team broadcast)
   // only owes the drain bookkeeping: skip every source without touching u

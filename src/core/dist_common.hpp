@@ -254,6 +254,11 @@ void set_stale_bounds(int min_k, int max_k);
 bool preagg_enabled();
 void set_preagg_enabled(bool on);
 
+/// Row codec of one dense row exchange over `p` ranks (a halo exchange or
+/// a backward reduce-scatter): the CAGNET_COMPRESS row mode, or off for a
+/// one-rank exchange or an `exact` one (the input-aggregation fill).
+CompressMode row_codec(int p, bool exact);
+
 /// Reusable dense/staging buffers for the shared SUMMA helpers. One per
 /// algebra instance; after the first epoch the hot path stops allocating.
 /// The helpers never nest, so sharing the buffers between them is safe.

@@ -256,10 +256,12 @@ TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
       delta.subtract(before);
 
       EXPECT_EQ(mine, expect) << compress_mode_name(mode);
-      // 2 E (P-1)/P wire bytes in Real-sized words, 2 lg P latency.
-      EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
-                       2.0 * static_cast<double>(enc_bytes) * (p - 1) / p /
-                           sizeof(Real));
+      // 2 E (P-1)/P whole wire bytes in Real-sized words, 2 lg P latency.
+      const std::size_t wire = 2 * enc_bytes *
+                               static_cast<std::size_t>(p - 1) /
+                               static_cast<std::size_t>(p);
+      EXPECT_EQ(delta.words(CommCategory::kCompressed),
+                static_cast<double>(wire) / sizeof(Real));
       EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kCompressed),
                        2.0 * ceil_log2(p));
       EXPECT_EQ(delta.words(CommCategory::kDense), 0.0);

@@ -17,6 +17,7 @@
 //     1, so later epochs charge exactly that layer-1 term less.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "src/comm/compress.hpp"
 #include "src/core/algebra_registry.hpp"
+#include "src/core/costmodel.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/sparse/generate.hpp"
 #include "src/util/parallel.hpp"
@@ -287,71 +289,177 @@ TEST(EpochCacheMeter, RepeatedEpochsChargeIdenticalMeters) {
   // layer-1 term less, identically from epoch 2 on (the adjacency traffic
   // is epoch-invariant and the dense traffic sizes never change). Checked
   // on every rank, per category, for every algebra, overlap mode and (1D
-  // / 1.5D) halo mode. Bounded staleness (CAGNET_STALE) makes halo traffic
-  // epoch-VARIANT by design, and a lossy codec only shrinks the later
-  // layers, so pin the exact path here.
+  // / 1.5D) halo mode, exact and under the int8 codec: the fill is exact,
+  // and the encoded sizes of layers 2..L are fixed. Bounded staleness
+  // (CAGNET_STALE) makes halo traffic epoch-VARIANT by design, so pin the
+  // exact per-epoch schedule here.
   const int ambient_stale = dist::stale_k();
   const CompressMode ambient_mode = compress_mode();
   const bool ambient_overlap = dist::overlap_enabled();
   const bool ambient_halo = dist::halo_enabled();
   dist::set_stale_k(0);
-  set_compress_mode(CompressMode::kOff);
   const Graph g = make_graph(128, 8, 10, 3, 73);
   const DistProblem problem = DistProblem::prepare(g);
   GnnConfig config = GnnConfig::three_layer(10, 3, 6);
   const int epochs = 4;
-  for (const auto& [algebra, p] :
-       {std::pair<std::string, int>{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4},
-        {"3d", 8}}) {
-    const bool rows_whole = algebra == "1d" || algebra == "1.5d-c2";
-    for (const bool overlap : {false, true}) {
-      for (const bool halo : {false, true}) {
-        if (halo && !rows_whole) continue;
-        dist::set_overlap_enabled(overlap);
-        dist::set_halo_enabled(halo);
-        const std::string label = algebra + " overlap=" +
-                                  std::to_string(overlap) +
-                                  " halo=" + std::to_string(halo);
-        run_world(p, [&](Comm& world) {
-          auto meter = std::make_unique<Layer1Meter>(
-              find_algebra(algebra)->make(problem, world,
-                                          MachineModel::summit()));
-          Layer1Meter& layer1 = *meter;
-          DistEngine engine(problem, config, std::move(meter));
-          std::vector<std::vector<double>> epoch;
-          for (int e = 0; e < epochs; ++e) {
-            engine.train_epoch();
-            epoch.push_back(meter_row(engine.last_epoch_stats().comm));
-          }
-          const std::string where =
-              label + " rank " + std::to_string(world.rank());
-          for (int e = 2; e < epochs; ++e) {
-            EXPECT_EQ(epoch[static_cast<std::size_t>(e)], epoch[1])
-                << where << " epoch " << e + 1;
-          }
-          // A hit charges nothing; the fill is the whole difference.
-          const std::vector<double> zero(epoch[0].size(), 0.0);
-          for (int e = 1; e < epochs; ++e) {
-            EXPECT_EQ(meter_row(layer1.at_charges[static_cast<std::size_t>(e)]),
-                      zero)
-                << where << " epoch " << e + 1;
-          }
-          const std::vector<double> fill = meter_row(layer1.forward_charges[0]);
-          const std::vector<double> hit = meter_row(layer1.forward_charges[1]);
-          double fill_words = 0;
-          for (std::size_t i = 0; i < epoch[0].size(); ++i) {
-            EXPECT_EQ(epoch[0][i] - epoch[1][i], fill[i] - hit[i])
-                << where << " slot " << i;
-            if (i % 2 == 1) fill_words += fill[i] - hit[i];
-          }
-          EXPECT_GT(fill_words, 0.0) << where;
-        });
+  for (const CompressMode mode : {CompressMode::kOff, CompressMode::kInt8}) {
+    set_compress_mode(mode);
+    for (const auto& [algebra, p] :
+         {std::pair<std::string, int>{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4},
+          {"3d", 8}}) {
+      const bool rows_whole = algebra == "1d" || algebra == "1.5d-c2";
+      for (const bool overlap : {false, true}) {
+        for (const bool halo : {false, true}) {
+          if (halo && !rows_whole) continue;
+          dist::set_overlap_enabled(overlap);
+          dist::set_halo_enabled(halo);
+          const std::string label =
+              algebra + (mode == CompressMode::kOff ? " exact" : " int8") +
+              " overlap=" + std::to_string(overlap) +
+              " halo=" + std::to_string(halo);
+          run_world(p, [&](Comm& world) {
+            auto meter = std::make_unique<Layer1Meter>(
+                find_algebra(algebra)->make(problem, world,
+                                            MachineModel::summit()));
+            Layer1Meter& layer1 = *meter;
+            DistEngine engine(problem, config, std::move(meter));
+            std::vector<std::vector<double>> epoch;
+            for (int e = 0; e < epochs; ++e) {
+              engine.train_epoch();
+              epoch.push_back(meter_row(engine.last_epoch_stats().comm));
+            }
+            const std::string where =
+                label + " rank " + std::to_string(world.rank());
+            for (int e = 2; e < epochs; ++e) {
+              EXPECT_EQ(epoch[static_cast<std::size_t>(e)], epoch[1])
+                  << where << " epoch " << e + 1;
+            }
+            // A hit charges nothing; the fill is the whole difference.
+            const std::vector<double> zero(epoch[0].size(), 0.0);
+            for (int e = 1; e < epochs; ++e) {
+              const auto hit_at = static_cast<std::size_t>(e);
+              EXPECT_EQ(meter_row(layer1.at_charges[hit_at]), zero)
+                  << where << " epoch " << e + 1;
+            }
+            const std::vector<double> fill =
+                meter_row(layer1.forward_charges[0]);
+            const std::vector<double> hit =
+                meter_row(layer1.forward_charges[1]);
+            double fill_words = 0;
+            for (std::size_t i = 0; i < epoch[0].size(); ++i) {
+              EXPECT_EQ(epoch[0][i] - epoch[1][i], fill[i] - hit[i])
+                  << where << " slot " << i;
+              if (i % 2 == 1) fill_words += fill[i] - hit[i];
+            }
+            EXPECT_GT(fill_words, 0.0) << where;
+          });
+        }
       }
     }
   }
   dist::set_overlap_enabled(ambient_overlap);
   dist::set_halo_enabled(ambient_halo);
   set_compress_mode(ambient_mode);
+  dist::set_stale_k(ambient_stale);
+}
+
+TEST(InputAggCache, MeteredDropMatchesSteadyTerm) {
+  // The words epoch 1 charges over epoch 2, averaged over ranks, per
+  // category, against the closed-form term the cache removes,
+  // cost_X(in) - cost_X_steady(in, f0), split into its dense share (the
+  // term at nnz = 0) and its sparse share. The closed forms keep the
+  // paper's conventions, so the meter differs from them by these exact
+  // amounts:
+  //  - 1D: every broadcast charges its root the block too, n f0 / P over
+  //    the P stages, which edgecut = n (P-1) / P leaves out;
+  //  - 1.5D: the team all-reduce charges 2 (c-1)/c of T's block, not 2,
+  //    so 2 n f0 / P less; 3D: the fiber reduce-scatter charges (q-1)/q
+  //    of the partial, not all of it, so n f0 / P less;
+  //  - 2D, 3D: a CSR block ships a column index per nonzero, rows + 1
+  //    row pointers and a 3-word header, where the closed forms count one
+  //    word per nonzero: the sparse share twice over, plus n + 4 words
+  //    per stage.
+  // Broadcast paths only: tests/halo_test.cpp pins the 1D halo path, whose
+  // drop is the closed-form term exactly.
+  const int ambient_stale = dist::stale_k();
+  const bool ambient_overlap = dist::overlap_enabled();
+  const bool ambient_halo = dist::halo_enabled();
+  dist::set_stale_k(0);
+  dist::set_halo_enabled(false);
+  const Index n = 128;
+  const Index f0 = 10;
+  const Graph g = make_graph(n, 8, f0, 3, 73);
+  const DistProblem problem = DistProblem::prepare(g);
+  GnnConfig config = GnnConfig::three_layer(f0, 3, 6);
+  const auto nd = static_cast<double>(n);
+  const auto f0d = static_cast<double>(f0);
+  const auto nnz = static_cast<double>(g.adjacency.nnz());
+  struct Case {
+    std::string algebra;
+    int p;
+    int c;
+  };
+  for (const Case& cs :
+       {Case{"1d", 4, 1}, Case{"1.5d-c2", 4, 2}, Case{"1.5d-c2", 8, 2},
+        Case{"1.5d-c4", 8, 4}, Case{"2d", 4, 1}, Case{"2d", 16, 1},
+        Case{"3d", 8, 1}}) {
+    const auto term = [&](double nnz_in) {
+      const CostInputs in =
+          CostInputs::from_random(nd, nnz_in, f0d, cs.p, 3);
+      const std::string& a = cs.algebra;
+      if (a == "1d") return cost_1d(in).words - cost_1d_steady(in, f0d).words;
+      if (a == "2d") return cost_2d(in).words - cost_2d_steady(in, f0d).words;
+      if (a == "3d") return cost_3d(in).words - cost_3d_steady(in, f0d).words;
+      return cost_15d(in, cs.c).words -
+             cost_15d_steady(in, cs.c, f0d).words;
+    };
+    const double dense_term = term(0.0);
+    const double sparse_term = term(nnz) - dense_term;
+    const double pd = cs.p;
+    double dense_gap = 0;
+    double sparse_gap = 0;
+    if (cs.algebra == "1d") dense_gap = nd * f0d / pd;
+    if (cs.algebra.rfind("1.5d", 0) == 0) dense_gap = -2.0 * nd * f0d / pd;
+    if (cs.algebra == "3d") dense_gap = -nd * f0d / pd;
+    if (cs.algebra == "2d" || cs.algebra == "3d") {
+      const double stages = cs.algebra == "2d" ? std::sqrt(pd) : std::cbrt(pd);
+      sparse_gap = sparse_term + nd + 4.0 * stages;
+    }
+    for (const bool overlap : {false, true}) {
+      dist::set_overlap_enabled(overlap);
+      const std::string label = cs.algebra + " p=" + std::to_string(cs.p) +
+                                " overlap=" + std::to_string(overlap);
+      std::vector<double> drop(CostMeter::kNumCategories, 0.0);
+      std::mutex mutex;
+      run_world(cs.p, [&](Comm& world) {
+        auto trainer = make_dist_trainer(cs.algebra, problem, config, world);
+        trainer->train_epoch();
+        const CostMeter first = trainer->last_epoch_stats().comm;
+        trainer->train_epoch();
+        const CostMeter& second = trainer->last_epoch_stats().comm;
+        std::lock_guard<std::mutex> lock(mutex);
+        for (std::size_t c = 0; c < CostMeter::kNumCategories; ++c) {
+          const auto cat = static_cast<CommCategory>(c);
+          drop[c] += (first.words(cat) - second.words(cat)) / pd;
+        }
+      });
+      const auto at = [&](CommCategory cat) {
+        return drop[static_cast<std::size_t>(cat)];
+      };
+      EXPECT_GT(dense_term, 0.0) << label;
+      EXPECT_DOUBLE_EQ(at(CommCategory::kDense), dense_term + dense_gap)
+          << label;
+      EXPECT_DOUBLE_EQ(at(CommCategory::kSparse), sparse_term + sparse_gap)
+          << label;
+      for (const CommCategory cat :
+           {CommCategory::kTranspose, CommCategory::kHalo,
+            CommCategory::kCompressed, CommCategory::kControl}) {
+        EXPECT_EQ(at(cat), 0.0) << label << " " << comm_category_name(cat);
+      }
+    }
+  }
+  dist::set_overlap_enabled(ambient_overlap);
+  dist::set_halo_enabled(ambient_halo);
   dist::set_stale_k(ambient_stale);
 }
 
