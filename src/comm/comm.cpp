@@ -1,6 +1,7 @@
 #include "src/comm/comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -53,8 +54,14 @@ const char* op_kind_name(OpKind kind) {
       return "iallgatherv_into";
     case OpKind::kAllreduce:
       return "iallreduce_sum";
+    case OpKind::kAllreduceMax:
+      return "allreduce_max";
     case OpKind::kAlltoallv:
       return "ialltoallv";
+    case OpKind::kRoute:
+      return "route";
+    case OpKind::kBarrier:
+      return "barrier";
   }
   return "?";
 }
@@ -63,13 +70,11 @@ void throw_peer_aborted(const OpContext& ctx, FaultSite site) {
   throw CommAborted(ctx.rank, ctx.op, ctx.cat, site, "a peer rank failed");
 }
 
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got) {
-  std::string msg = "nonblocking collective: ranks disagree on op order: "
-                    "rank ";
+std::string order_mismatch(const OpContext& ctx, int peer, OpKind got) {
+  std::string msg = "collective: ranks disagree on op order: rank ";
   msg += std::to_string(ctx.rank);
   msg += " waiting on ";
-  msg += op_kind_name(want);
+  msg += ctx.op;
   msg += " [";
   msg += comm_category_name(ctx.cat);
   msg += "], rank ";
@@ -77,6 +82,15 @@ std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
   msg += " posted ";
   msg += op_kind_name(got);
   return msg;
+}
+
+std::string count_mismatch(const OpContext& ctx, std::size_t mine, int peer,
+                           std::size_t theirs) {
+  return std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
+         "]: ranks disagree on element count (rank " +
+         std::to_string(ctx.rank) + " passed " + std::to_string(mine) +
+         ", rank " + std::to_string(peer) + " passed " +
+         std::to_string(theirs) + ")";
 }
 
 void AbortHub::register_state(const std::shared_ptr<CommState>& state) {
@@ -96,11 +110,8 @@ void AbortHub::poison() {
     if (!state) continue;
     // Any value change wakes parked waiters; they observe the flag and
     // unwind. The counters are meaningless once the world is dead. The
-    // phase gate bump is what releases peers parked in a *blocking*
-    // collective's rendezvous — including on split sub-communicators,
-    // which std::barrier could never unblock from outside.
-    state->gate.released.fetch_add(1, std::memory_order_release);
-    state->gate.released.notify_all();
+    // blocking lane is one of the channels, so this also releases peers
+    // parked in a blocking collective, on split sub-communicators too.
     for (const auto& channel : state->channels) {
       channel->posted.fetch_add(1, std::memory_order_release);
       channel->posted.notify_all();
@@ -146,11 +157,12 @@ void await_counter(const std::atomic<std::uint64_t>& counter,
 namespace {
 
 /// Block until every rank but `rank` has left its slot-reading regions.
-/// Abort-path only; must not throw (it runs inside unwinds). Terminates
-/// because every open region exits in bounded time once the world is
-/// poisoned: parked readers are woken by the poison bumps and throw at
-/// their abort checks, active readers throw at their next await, and each
-/// region exit under an aborted world notifies this waiter.
+/// Abort-path only; must not throw (it runs inside unwinds), and `rank`
+/// must hold no open region itself. Terminates because every open region
+/// exits in bounded time once the world is poisoned: parked readers are
+/// woken by the poison bumps and throw at their abort checks, active
+/// readers throw at their next await, and each region exit under an
+/// aborted world notifies this waiter.
 void await_window_drain(CommState& st, int rank) noexcept {
   for (int r = 0; r < st.size; ++r) {
     if (r == rank) continue;
@@ -169,6 +181,7 @@ void await_window_drain(CommState& st, int rank) noexcept {
 }  // namespace
 
 CollectiveWindow::~CollectiveWindow() {
+  if (!outer_) return;
   const bool unwinding = std::uncaught_exceptions() > entry_exceptions_;
   if (unwinding) {
     // Poison before closing the region: once the flag is up (seq_cst, as
@@ -194,13 +207,20 @@ CollectiveWindow::~CollectiveWindow() {
 
 void Comm::barrier() {
   check_valid("barrier");
-  phase({rank_, CommCategory::kControl, "barrier"});
+  run_blocking({rank_, CommCategory::kControl, "barrier"},
+               {.kind = detail::OpKind::kBarrier,
+                .complete = &PendingOp::complete_impl<unsigned char>},
+               detail::Lane::kRendezvous);
 }
 
 void Comm::quiesce() const {
   check_valid("quiesce");
   const detail::OpContext ctx{rank_, CommCategory::kControl, "quiesce"};
   auto& st = *state_;
+  // A release point frees this rank's sources once it returns; if the
+  // world dies while it waits, the window drains peers still reading them
+  // before the unwind frees them.
+  detail::CollectiveWindow window(st, rank_);
   // All ranks post in the same program order, so this rank's ticket count
   // is the communicator-wide count of posted ops. Channel C carried the
   // tickets congruent to C mod K; each must be finished by every rank.
@@ -221,118 +241,67 @@ void Comm::quiesce_op(std::uint64_t ticket) const {
   const detail::OpContext ctx{rank_, CommCategory::kControl, "quiesce_op"};
   auto& st = *state_;
   if (auto* ck = st.checker.get()) ck->on_release(rank_, ticket, ctx.op);
+  detail::CollectiveWindow window(st, rank_);  // as in quiesce()
   // Generations on a channel complete strictly in order (the recycle gate
   // serializes them), so finishing this op's generation implies the op —
   // and nothing on any other channel — is globally finished.
-  auto& ch = *st.channels[ticket % static_cast<std::uint64_t>(
-                                       detail::kAsyncChannels)];
+  auto& ch = st.channel(detail::Lane::kRing, ticket);
   const std::uint64_t gen =
-      ticket / static_cast<std::uint64_t>(detail::kAsyncChannels);
+      detail::CommState::generation(detail::Lane::kRing, ticket);
   detail::await_counter(ch.finished, ch.waiters,
                         static_cast<std::uint64_t>(st.size) * (gen + 1),
                         st.hub->aborted, ctx);
 }
 
-void Comm::phase(const detail::OpContext& ctx) const {
-  // One rendezvous on the poison-wakeable PhaseGate. Arrivals count
-  // cumulatively; arrival a belongs to phase (a-1)/P and the P-th arrival
-  // of a phase releases the rest. The acq_rel arrival RMW chains with the
-  // release on `released`, so slot writes before the barrier
-  // happen-before slot reads after it on every rank, exactly like the
-  // std::barrier it replaces — but a dead rank's absence no longer parks
-  // peers forever: AbortHub::poison bumps `released` and everyone
-  // unwinds through the abort checks in await_counter.
-  auto& st = *state_;
-  const std::atomic<bool>& aborted = st.hub->aborted;
-  if (aborted.load(std::memory_order_relaxed)) {
-    detail::throw_peer_aborted(ctx, FaultSite::kWait);
-  }
-  const std::uint64_t a =
-      st.gate.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (a % st.gate.size == 0) {
-    detail::bump_counter(st.gate.released, st.gate.waiters);
-    if (aborted.load(std::memory_order_relaxed)) {
-      detail::throw_peer_aborted(ctx, FaultSite::kWait);
-    }
-  } else {
-    detail::await_counter(st.gate.released, st.gate.waiters,
-                          (a - 1) / st.gate.size + 1, aborted, ctx);
-  }
-}
-
-void Comm::sync_sizes(std::size_t n, const detail::OpContext& ctx) const {
-  auto& st = *state_;
-  st.slot_len[static_cast<std::size_t>(rank_)] = n;
-  phase(ctx);
-  for (int r = 0; r < st.size; ++r) {
-    CAGNET_CHECK(st.slot_len[static_cast<std::size_t>(r)] == n,
-                 std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
-                     "]: ranks disagree on element count (rank " +
-                     std::to_string(rank_) + " passed " + std::to_string(n) +
-                     ", rank " + std::to_string(r) + " passed " +
-                     std::to_string(
-                         st.slot_len[static_cast<std::size_t>(r)]) +
-                     ")");
-  }
-  phase(ctx);
-}
-
-PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
-                           std::size_t publish_len, int root,
-                           CommCategory cat, bool charged,
-                           void (*complete)(PendingOp&), void* out,
-                           std::size_t out_len, std::size_t src_len,
-                           void* gathered, const void* publish_ptr2) {
+PendingOp Comm::post_async(detail::Lane lane, const detail::OpContext& ctx,
+                           bool charged, const detail::PostArgs& args) const {
   auto& st = *state_;
   const auto rank = static_cast<std::size_t>(rank_);
-  const detail::OpContext ctx{rank_, cat, detail::op_kind_name(kind)};
+  const bool ring = lane == detail::Lane::kRing;
   CAGNET_CHECK(
-      st.outstanding[rank] < detail::kAsyncChannels,
+      !ring || st.outstanding[rank] < detail::kAsyncChannels,
       "too many posted-but-unwaited nonblocking collectives on one "
       "communicator (max 16 in flight per rank); wait() some first");
-  detail::seam_event(st, ctx, FaultSite::kPost);
-  const std::uint64_t ticket = st.next_ticket[rank]++;
-  auto& ch = *st.channels[ticket % static_cast<std::uint64_t>(
-                                       detail::kAsyncChannels)];
-  const std::uint64_t gen =
-      ticket / static_cast<std::uint64_t>(detail::kAsyncChannels);
+  if (lane != detail::Lane::kRendezvous) {
+    detail::seam_event(st, ctx, FaultSite::kPost);
+  }
+  const std::uint64_t ticket =
+      ring ? st.next_ticket[rank]++ : st.next_blocking[rank]++;
+  auto& ch = st.channel(lane, ticket);
+  const std::uint64_t gen = detail::CommState::generation(lane, ticket);
   // Recycle gate: every rank must have finished the channel's previous
   // generation before its slots may be overwritten.
   detail::await_counter(ch.finished, ch.waiters,
                         static_cast<std::uint64_t>(st.size) * gen,
                         st.hub->aborted, ctx);
-  if (auto* ck = st.checker.get()) {
+  if (auto* ck = st.checker.get(); ck != nullptr && ring) {
     // Re-assert the gate with the value this rank just observed, and audit
     // ticket issuance, before any slot is overwritten.
-    ck->on_post(rank_, ticket, ctx.op, cat,
+    ck->on_post(rank_, ticket, ctx.op, ctx.cat,
                 ch.finished.load(std::memory_order_acquire),
                 static_cast<std::uint64_t>(st.size) * gen);
   }
-  ch.ptr[rank] = publish_ptr;
-  ch.ptr2[rank] = publish_ptr2;
-  ch.len[rank] = publish_len;
-  ch.kind[rank] = kind;
-  ch.root[rank] = root;
+  ch.ptr[rank] = args.ptr;
+  ch.ptr2[rank] = args.ptr2;
+  ch.len[rank] = args.len;
+  ch.kind[rank] = args.kind;
+  ch.root[rank] = args.root;
   // Per-rank counter first: a per-source drainer that sees it also sees
   // the slot writes above (release/acquire through the counter).
   detail::bump_counter(ch.posted_by[rank], ch.waiters);
   detail::bump_counter(ch.posted, ch.waiters);
-  st.outstanding[rank]++;
+  if (ring) st.outstanding[rank]++;
 
   PendingOp op;
   op.state_ = state_;
   op.rank_ = rank_;
   op.meter_ = meter_;
   op.ticket_ = ticket;
-  op.cat_ = cat;
-  op.root_ = root;
-  op.charged_ = charged;
-  op.kind_ = kind;
-  op.out_ = out;
-  op.out_len_ = out_len;
-  op.src_len_ = src_len;
-  op.gathered_ = gathered;
-  op.complete_ = complete;
+  op.cat_ = ctx.cat;
+  op.op_ = ctx.op;
+  op.lane_ = lane;
+  op.charged_ = charged && lane != detail::Lane::kRendezvous;
+  op.args_ = args;
   return op;
 }
 
@@ -342,10 +311,7 @@ void PendingOp::wait() {
     // contract checker a repeated wait on a completed handle is a
     // diagnosed misuse (it usually means two owners think they complete
     // the same op).
-    if (waited_) {
-      contract::diagnose_double_wait(rank_, detail::op_kind_name(kind_),
-                                     cat_);
-    }
+    if (waited_) contract::diagnose_double_wait(rank_, op_, cat_);
     return;
   }
   // A handle can legally outlive its Comm (the teardown audit diagnoses
@@ -355,104 +321,138 @@ void PendingOp::wait() {
   const std::shared_ptr<detail::CommState> keep = state_;
   auto& st = *keep;
   detail::CollectiveWindow window(st, rank_);
-  auto& ch = *st.channels[ticket_ % static_cast<std::uint64_t>(
-                                        detail::kAsyncChannels)];
-  const std::uint64_t gen =
-      ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
+  auto& ch = channel();
   // A broadcast root moves no data and reads no peer slot at its own
   // wait: it completes passively (charge + bookkeeping) without awaiting
   // peers' posts, so stage roots never stall on stragglers. Its source —
   // like every op source — stays readable until the communicator's
-  // release point (quiesce / quiesce_op / a blocking rendezvous).
-  // Per-source-drain alltoallvs likewise skip the aggregate await: their
-  // completer awaits exactly the sources still undrained, so a rank that
-  // drained or skipped every source never stalls on peers it needs
-  // nothing from.
+  // release point (quiesce / quiesce_op, or the end of a blocking
+  // collective). Per-source-drain alltoallvs likewise skip the aggregate
+  // await: their completer awaits exactly the sources still undrained, so
+  // a rank that drained or skipped every source never stalls on peers it
+  // needs nothing from.
   const bool passive_root =
-      kind_ == detail::OpKind::kBcast && rank_ == root_;
-  const bool per_source_drain =
-      kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr;
-  const detail::OpContext ctx{rank_, cat_, detail::op_kind_name(kind_)};
-  detail::seam_event(st, ctx, FaultSite::kWait);
-  if (!passive_root && !per_source_drain) {
+      args_.kind == detail::OpKind::kBcast && rank_ == args_.root;
+  const detail::OpContext ctx{rank_, cat_, op_};
+  if (lane_ != detail::Lane::kRendezvous) {
+    detail::seam_event(st, ctx, FaultSite::kWait);
+  }
+  if (!passive_root && !per_source_drain()) {
     detail::await_counter(ch.posted, ch.waiters,
-                          static_cast<std::uint64_t>(st.size) * (gen + 1),
+                          static_cast<std::uint64_t>(st.size) *
+                              (generation() + 1),
                           st.hub->aborted, ctx);
   }
-  complete_(*this);
+  args_.complete(*this);
   detail::bump_counter(ch.finished, ch.waiters);
-  st.outstanding[static_cast<std::size_t>(rank_)]--;
-  if (auto* ck = st.checker.get()) ck->on_complete(rank_);
+  if (lane_ == detail::Lane::kRing) {
+    st.outstanding[static_cast<std::size_t>(rank_)]--;
+    if (auto* ck = st.checker.get()) ck->on_complete(rank_);
+  }
   waited_ = true;
   state_.reset();
-  complete_ = nullptr;
 }
 
-namespace {
+void PendingOp::complete_for_destroy() noexcept {
+  if (!pending()) return;
+  if (std::uncaught_exceptions() > 0) {
+    // Destroyed by an unwind: this rank is failing. Completing here would
+    // let the unwind go on to free this rank's sources while a peer's own
+    // wait still copies from them — and a window opened now would count
+    // the unwind's exception as its entry state and never poison. So
+    // poison first (no peer starts a new read), drain the reads already
+    // under way, and leave the op incomplete.
+    const std::shared_ptr<detail::CommState> st = std::move(state_);
+    st->hub->poison();
+    // An open window of this rank drains as it closes; draining here too
+    // would wait on peers that wait on that window.
+    if (st->in_collective[static_cast<std::size_t>(rank_)].load(
+            std::memory_order_relaxed) == 0) {
+      detail::await_window_drain(*st, rank_);
+    }
+    return;
+  }
+  try {
+    wait();
+  } catch (...) {
+    // A failed world: peers were released by the abort flag; there is
+    // nothing left to complete.
+    state_.reset();
+  }
+}
 
-/// Transient rendezvous used by Comm::split.
-struct SplitContext {
-  std::mutex mutex;
-  std::map<int, std::vector<std::pair<int, int>>> groups;  // color -> (key, rank)
-  std::map<int, std::shared_ptr<detail::CommState>> states;
-};
-
-}  // namespace
+void Comm::run_blocking(const detail::OpContext& ctx,
+                        const detail::PostArgs& args,
+                        detail::Lane lane) const {
+  // Declared before the window, so an unwind closes the window (poison,
+  // drain) before the still-pending op is abandoned.
+  PendingOp op;
+  detail::CollectiveWindow window(*state_, rank_);
+  op = post_async(lane, ctx, /*charged=*/true, args);
+  auto& ch = op.channel();
+  const std::uint64_t gen = op.generation();
+  op.wait();
+  // Release: every member has completed the op, so no peer still reads
+  // this rank's sources and the caller may reuse them at once.
+  detail::await_counter(ch.finished, ch.waiters,
+                        static_cast<std::uint64_t>(size()) * (gen + 1),
+                        state_->hub->aborted, ctx);
+}
 
 Comm Comm::split(int color, int key) const {
   CAGNET_CHECK(valid(), "split on an invalid communicator");
-  const detail::OpContext op_ctx{rank_, CommCategory::kControl, "split"};
-  auto& st = *state_;
+  const detail::OpContext ctx{rank_, CommCategory::kControl, "split"};
+  const auto rendezvous = [&](const detail::PostArgs& args) {
+    run_blocking(ctx, args, detail::Lane::kRendezvous);
+  };
 
-  if (rank_ == 0) st.split_ctx = std::make_shared<SplitContext>();
-  phase(op_ctx);
-  auto* ctx = static_cast<SplitContext*>(st.split_ctx.get());
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    ctx->groups[color].push_back({key, rank_});
+  // Round 1: every member learns every member's (color, key).
+  const std::array<int, 2> mine{color, key};
+  Gathered<int> all;
+  rendezvous(allgatherv_args(std::span<const int>(mine), all));
+  std::vector<std::pair<int, int>> group;  // (key, parent rank) per member
+  for (int r = 0; r < size(); ++r) {
+    if (all.chunk(r)[0] == color) group.emplace_back(all.chunk(r)[1], r);
   }
-  phase(op_ctx);
-
-  // Membership is frozen now; reads below need no lock.
-  std::vector<std::pair<int, int>> group = ctx->groups.at(color);
   std::sort(group.begin(), group.end());
-  const auto it = std::find(group.begin(), group.end(),
-                            std::make_pair(key, rank_));
-  const int new_rank = static_cast<int>(it - group.begin());
+  const int new_rank = static_cast<int>(
+      std::find(group.begin(), group.end(), std::make_pair(key, rank_)) -
+      group.begin());
 
+  // Round 2: each group's first member makes the sub-communicator (it
+  // registers with the world's abort hub, so failures anywhere wake its
+  // waiters too) and every member copies a reference to it.
+  using StatePtr = std::shared_ptr<detail::CommState>;
+  StatePtr made;
   if (new_rank == 0) {
-    // The sub-communicator registers with the world's abort hub so
-    // failures anywhere wake its parked nonblocking waiters too.
-    auto new_state = std::make_shared<detail::CommState>(
-        static_cast<int>(group.size()), st.hub);
-    st.hub->register_state(new_state);
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    ctx->states[color] = new_state;
+    made = std::make_shared<detail::CommState>(
+        static_cast<int>(group.size()), state_->hub);
+    state_->hub->register_state(made);
   }
-  phase(op_ctx);
+  const auto published =
+      reinterpret_cast<std::uintptr_t>(made ? &made : nullptr);
+  Gathered<std::uintptr_t> leaders;
+  rendezvous(allgatherv_args(std::span<const std::uintptr_t>(&published, 1),
+                             leaders));
+  StatePtr state = *reinterpret_cast<const StatePtr*>(
+      leaders.chunk(group.front().second)[0]);
 
-  std::shared_ptr<detail::CommState> new_state;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    new_state = ctx->states.at(color);
-  }
-  phase(op_ctx);
-  if (rank_ == 0) st.split_ctx.reset();
-  return Comm(std::move(new_state), new_rank, meter_);
+  // Round 3: `made` must outlive every member's copy of it.
+  rendezvous({.kind = detail::OpKind::kBarrier,
+              .complete = &PendingOp::complete_impl<unsigned char>});
+  return Comm(std::move(state), new_rank, meter_);
 }
 
 void PendingCompressedReduce::wait() {
   if (!pending()) return;
-  // Take the communicator state locally: op_.wait() drops the inner op's
-  // own reference, and the decode epilogue below still needs the checker
-  // for charge attribution. Declared before the blocking scope so the
-  // checker outlives the scope's exit hook.
   const std::shared_ptr<detail::CommState> st = std::move(state_);
-  contract::Checker* ck = st ? st->checker.get() : nullptr;
   const char* op_name = scatter_ ? "ireduce_scatter_sum_compressed"
                                  : "iallreduce_sum_compressed";
-  contract::BlockingScope contract_scope(ck, rank_, op_name,
-                                         CommCategory::kCompressed);
+  // The decode's charge below is attributed to the byte gather, so audit
+  // it while that op is still open.
+  if (auto* ck = st->checker.get()) {
+    ck->on_charge(rank_, op_name, CommCategory::kCompressed);
+  }
   CompressBuf& buf = *buf_;
   buf_ = nullptr;
   {
@@ -479,9 +479,6 @@ void PendingCompressedReduce::wait() {
         compress_decode(mode_, bytes, n_, buf.scratch.data());
         for (std::size_t i = 0; i < n_; ++i) out_[i] += buf.scratch[i];
       }
-    }
-    if (ck != nullptr) {
-      ck->on_charge(rank_, op_name, CommCategory::kCompressed);
     }
     // Whole wire bytes, like the exact collectives: a fractional byte
     // count would make epoch sums depend on charge order.
@@ -518,7 +515,6 @@ void PendingCompressedReduce::wait() {
                           n_, my_lo, my_lo + out_len_, buf.scratch.data());
     for (std::size_t i = 0; i < out_len_; ++i) out_[i] += buf.scratch[i];
   }
-  if (ck != nullptr) ck->on_charge(rank_, op_name, CommCategory::kCompressed);
   const std::size_t wire = buf.recv.data.size() *
                            static_cast<std::size_t>(p - 1) /
                            static_cast<std::size_t>(p);
@@ -703,26 +699,29 @@ void run_world(int p, const std::function<void(Comm&)>& fn,
           }
         }
         // Poison every registered communicator state: the abort flag goes
-        // up, then every channel counter and phase gate is bumped and
-        // notified, so peers parked anywhere — nonblocking waits,
-        // per-source drains, or blocking collectives' rendezvous, on the
-        // world or any split sub-communicator — wake, observe the flag,
-        // and unwind with a typed CommAborted.
+        // up, then every channel counter is bumped and notified, so peers
+        // parked anywhere — nonblocking waits, per-source drains, or
+        // blocking collectives, on the world or any split
+        // sub-communicator — wake, observe the flag, and unwind with a
+        // typed CommAborted.
         hub->poison();
       }
     });
   }
   for (auto& t : threads) t.join();
+  // Every checked state holds the hub, so the hub's strong refs to them
+  // form a cycle: take them out, whichever way the world ended, and let
+  // them go when this call returns or throws.
+  std::vector<std::shared_ptr<detail::CommState>> checked;
+  {
+    std::lock_guard<std::mutex> lock(hub->mutex);
+    checked.swap(hub->checked_states);
+  }
   if (first_error) std::rethrow_exception(first_error);
   // Teardown audit (contract checker armed, non-abort path only — a
   // poisoned world tears down mid-op by design): every communicator this
   // world created, splits included, must have retired all its posted ops.
-  {
-    std::lock_guard<std::mutex> lock(hub->mutex);
-    for (const auto& checked : hub->checked_states) {
-      checked->checker->verify_teardown();
-    }
-  }
+  for (const auto& state : checked) state->checker->verify_teardown();
   if (meters_out) *meters_out = std::move(meters);
 }
 

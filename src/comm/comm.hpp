@@ -13,21 +13,24 @@
 // the communicator, in the same program order. All spans must stay alive
 // until the call returns.
 //
-// Nonblocking layer: the i-prefixed collectives (ibroadcast_from,
-// ireduce_scatter_sum, iallgatherv_into, iallreduce_sum) post immediately
-// and return a PendingOp whose wait() completes the data movement and the
-// meter charge. Posts must follow the same program order on every rank;
-// waits may be out of order. Between post and wait a rank may compute and
-// may run other collectives (blocking or nonblocking) on any communicator —
-// this is what the SUMMA double-buffering in src/core/ exploits. See
-// DESIGN.md, "Nonblocking runtime and overlap accounting".
+// One engine carries every collective. The i-prefixed collectives
+// (ibroadcast_from, ireduce_scatter_sum, iallgatherv_into, iallreduce_sum,
+// ialltoallv_*) post immediately and return a PendingOp whose wait()
+// completes the data movement and the meter charge. Posts must follow the
+// same program order on every rank; waits may be out of order. Between
+// post and wait a rank may compute and may run other collectives (blocking
+// or nonblocking) on any communicator — this is what the SUMMA
+// double-buffering in src/core/ exploits. A blocking collective is the
+// same post, waited at once and released before it returns, on a
+// dedicated channel of its own, so it never takes a ticket from the
+// nonblocking ring. See DESIGN.md, "Nonblocking runtime and overlap
+// accounting".
 #pragma once
 
 #include <atomic>
 #include <cstring>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -44,6 +47,7 @@ namespace cagnet {
 
 class Profiler;  // src/util/profiler.hpp; compressed collectives time
                  // their codec work under Phase::kCompressPack
+class PendingOp;
 
 /// ceil(log2(p)) with ceil_log2(1) == 0: the latency factor of a
 /// tree-structured collective.
@@ -53,22 +57,51 @@ namespace detail {
 
 /// Channels per communicator for nonblocking collectives; also the cap on
 /// posted-but-unwaited operations per rank (posting more is diagnosed, not
-/// deadlocked).
+/// deadlocked). Each communicator has one more channel, the blocking lane
+/// at index kAsyncChannels, outside this ring.
 inline constexpr int kAsyncChannels = 16;
 
-/// Which nonblocking collective a channel generation carries; published
-/// per rank so mismatched program order is diagnosed at wait().
+/// Which collective a channel generation carries; published per rank so
+/// mismatched program order is diagnosed at wait().
 enum class OpKind : std::uint8_t {
   kNone = 0,
   kBcast,
   kReduceScatter,
   kAllgatherv,
   kAllreduce,
+  kAllreduceMax,
   kAlltoallv,
+  kRoute,    ///< root carries the rank's destination
+  kBarrier,  ///< publishes nothing
 };
 
-/// Display name of a nonblocking op kind (diagnostics and CommAborted).
+/// Display name of an op kind (diagnostics and CommAborted).
 const char* op_kind_name(OpKind kind);
+
+/// Which channel a post rides and what it reports.
+enum class Lane : std::uint8_t {
+  kRing,        ///< nonblocking: ring ticket, 16-in-flight budget, checker
+  kBlocking,    ///< blocking collective: the dedicated channel; seam
+                ///< events and charges like any op, no checker ledger
+  kRendezvous,  ///< barrier / split: the dedicated channel; seam-silent
+                ///< and uncharged
+};
+
+/// What one post publishes and where its completion writes. Built by each
+/// collective entry point; kept by the PendingOp it arms.
+struct PostArgs {
+  OpKind kind = OpKind::kNone;
+  const void* ptr = nullptr;   ///< published source
+  const void* ptr2 = nullptr;  ///< alltoallv per-destination offsets
+  std::size_t len = 0;         ///< published element count
+  int root = 0;                ///< broadcast root / route destination
+  void* out = nullptr;  ///< this rank's destination: T* (broadcast,
+                        ///< reductions), Gathered<T>* (allgatherv,
+                        ///< alltoallv; null for a per-source drain), or
+                        ///< std::vector<T>* (route)
+  std::size_t src_len = 0;  ///< reduce-scatter contribution length
+  void (*complete)(PendingOp&) = nullptr;  ///< typed movement + charge
+};
 
 /// Identity of the operation a seam event or abort belongs to: the
 /// observing rank, the traffic category, and the op's display name. Built
@@ -85,10 +118,11 @@ struct OpContext {
 /// rank while it was inside `ctx`'s operation.
 [[noreturn]] void throw_peer_aborted(const OpContext& ctx, FaultSite site);
 
-/// Rendezvous state of one nonblocking-collective channel. Channels are
-/// recycled in generations: the op with ticket T uses channel T % K at
-/// generation T / K. `posted` and `finished` count cumulatively across
-/// generations; generation G's payload is readable once posted reaches
+/// Rendezvous state of one channel. Channels are recycled in generations:
+/// the ring op with ticket T uses channel T % K at generation T / K, and
+/// the blocking lane runs generation T for its T-th op. `posted` and
+/// `finished` count cumulatively across generations; generation G's
+/// payload is readable once posted reaches
 /// size*(G+1), and the channel is recyclable for G+1 once finished reaches
 /// size*(G+1). Slot writes happen-before the posting increment (release)
 /// and slot reads happen-before the finishing increment, so recycling
@@ -127,10 +161,10 @@ struct CommState;
 
 /// World-wide abort fan-out shared by a world and every communicator split
 /// off it. A failing rank sets the flag and poisons every registered
-/// state's channels and phase gates (bump + notify), so waiters parked on
-/// futexes anywhere in the communicator tree — nonblocking waits AND
-/// blocking-collective rendezvous, including on split sub-communicators —
-/// wake, observe the flag, and unwind.
+/// state's channels (bump + notify), so waiters parked on futexes anywhere
+/// in the communicator tree — nonblocking waits and blocking collectives
+/// alike, including on split sub-communicators — wake, observe the flag,
+/// and unwind.
 struct AbortHub {
   std::atomic<bool> aborted{false};
   std::mutex mutex;
@@ -140,48 +174,31 @@ struct AbortHub {
   std::shared_ptr<FaultPlan> fault;
   /// Strong refs to every state carrying a contract checker, so run_world
   /// can audit split sub-communicators at teardown even after the rank
-  /// threads dropped theirs. Empty when the checker is disabled.
+  /// threads dropped theirs. Empty when the checker is disabled; run_world
+  /// clears it once the world is over (each state holds this hub, so the
+  /// pair would otherwise keep each other alive).
   std::vector<std::shared_ptr<CommState>> checked_states;
 
   void register_state(const std::shared_ptr<CommState>& state);  // comm.cpp
   void poison();  // comm.cpp
 };
 
-/// Abortable phase barrier (replaces std::barrier, which only a
-/// participant can drop: a rank that died elsewhere would leave peers
-/// parked in a blocking collective forever). Arrivals are a cumulative
-/// counter; the last arrival of a phase bumps `released` and wakes the
-/// rest, who park on it futex-style. AbortHub::poison bumps `released`
-/// too, so every parked arrival wakes, observes the flag, and unwinds —
-/// the unwind guarantee now covers blocking collectives on split
-/// sub-communicators as well.
-struct PhaseGate {
-  explicit PhaseGate(int n) : size(static_cast<std::uint64_t>(n)) {}
-
-  const std::uint64_t size;
-  std::atomic<std::uint64_t> arrived{0};
-  std::atomic<std::uint64_t> released{0};  ///< completed phases
-  std::atomic<int> waiters{0};
-};
-
-/// Shared state of one communicator: a phase barrier plus per-rank
-/// publication slots for the blocking collectives, and a ring of
-/// AsyncChannels for the nonblocking ones. All blocking slot accesses are
-/// separated by barrier phases, which provide the necessary happens-before
-/// edges; the channels carry their own ordering (see AsyncChannel).
+/// Shared state of one communicator: the ring of AsyncChannels the
+/// nonblocking collectives cycle through, plus one more channel (the
+/// blocking lane) that the blocking collectives, barrier and split use one
+/// generation at a time. Each channel carries its own ordering (see
+/// AsyncChannel).
 struct CommState {
   CommState(int n, std::shared_ptr<AbortHub> abort_hub)
-      : size(n), gate(n),
-        slot_ptr(static_cast<std::size_t>(n), nullptr),
-        slot_ptr2(static_cast<std::size_t>(n), nullptr),
-        slot_len(static_cast<std::size_t>(n), 0),
-        slot_dest(static_cast<std::size_t>(n), -1),
+      : size(n),
         next_ticket(static_cast<std::size_t>(n), 0),
+        next_blocking(static_cast<std::size_t>(n), 0),
         outstanding(static_cast<std::size_t>(n), 0),
+        staging(static_cast<std::size_t>(n)),
         in_collective(static_cast<std::size_t>(n)),
         hub(std::move(abort_hub)) {
-    channels.reserve(kAsyncChannels);
-    for (int c = 0; c < kAsyncChannels; ++c) {
+    channels.reserve(kAsyncChannels + 1);
+    for (int c = 0; c <= kAsyncChannels; ++c) {
       channels.push_back(std::make_unique<AsyncChannel>(n));
     }
     if (contract::enabled()) {
@@ -197,33 +214,38 @@ struct CommState {
   /// dead world. The uid is never recycled, so a binding check against it
   /// always detects a new communicator.
   const std::uint64_t uid = next_uid();
-  PhaseGate gate;
-  std::vector<const void*> slot_ptr;
-  std::vector<const void*> slot_ptr2; // alltoallv per-destination offsets
-  std::vector<std::size_t> slot_len;  // element counts, payload-defined units
-  std::vector<int> slot_dest;         // route() destination per rank
-  std::vector<unsigned char> scratch; // reduction workspace (rank 0 resizes)
+  /// kAsyncChannels ring channels, then the blocking lane.
   std::vector<std::unique_ptr<AsyncChannel>> channels;
-  std::vector<std::uint64_t> next_ticket;  // per rank; owner-written only
-  std::vector<int> outstanding;            // per-rank posted-unwaited count
-  /// Per-rank count of open slot-reading regions (blocking collective
-  /// bodies, nonblocking waits, per-source drains). On the abort path a
-  /// dying rank drains these before its unwind frees the buffers it
-  /// published — see CollectiveWindow.
+  std::vector<std::uint64_t> next_ticket;    // per rank; owner-written only
+  std::vector<std::uint64_t> next_blocking;  // blocking-lane generations
+  std::vector<int> outstanding;              // per-rank posted-unwaited count
+  /// Per-rank copy of an in-place all-reduce's contribution: peers read
+  /// it while the caller's buffer receives the result. Owner-resized only,
+  /// and only between blocking collectives, after the last one released.
+  std::vector<std::vector<unsigned char>> staging;
+  /// Per-rank count of open slot-reading regions (blocking collectives,
+  /// nonblocking waits, per-source drains). On the abort path a dying
+  /// rank drains these before its unwind frees the buffers it published —
+  /// see CollectiveWindow.
   std::vector<std::atomic<int>> in_collective;
   /// Lifecycle auditor (null unless contract::enabled() held at
   /// construction); split sub-communicators build their own.
   std::unique_ptr<contract::Checker> checker;
-  std::mutex mutex;
-  /// Transient rendezvous of an in-flight split(). Owned here (not by the
-  /// splitting ranks) so a rank failure mid-split cannot leak it: it is
-  /// released at the split's final phase, by the next split, or with this
-  /// state.
-  std::shared_ptr<void> split_ctx;
   /// Shared with every communicator split off this one, so a rank failure
-  /// anywhere in the world also unblocks nonblocking waits on
-  /// sub-communicators.
+  /// anywhere in the world also unblocks waits on sub-communicators.
   std::shared_ptr<AbortHub> hub;
+
+  /// The channel of the `ticket`-th post on `lane`: ring channel
+  /// ticket % K, or the blocking lane.
+  AsyncChannel& channel(Lane lane, std::uint64_t ticket) const {
+    return lane == Lane::kRing ? *channels[ticket % kAsyncChannels]
+                               : *channels[kAsyncChannels];
+  }
+  /// Its generation on that channel: ticket / K on the ring; the blocking
+  /// lane runs one generation per post.
+  static std::uint64_t generation(Lane lane, std::uint64_t ticket) {
+    return lane == Lane::kRing ? ticket / kAsyncChannels : ticket;
+  }
 
  private:
   static std::uint64_t next_uid() {
@@ -278,14 +300,19 @@ inline void seam_event(const CommState& st, const OpContext& ctx,
 }
 
 /// Program-order mismatch diagnostic naming this rank, the op it is
-/// waiting on (kind + category), the offending peer, and what that peer
+/// waiting on (name + category), the offending peer, and what that peer
 /// posted instead. Out-of-line (comm.cpp) — built only on the failure
 /// path.
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got);
+std::string order_mismatch(const OpContext& ctx, int peer, OpKind got);
 
-/// RAII bracket around one slot-reading region (a blocking collective
-/// body, a nonblocking wait, a per-source drain). Healthy worlds pay two
+/// Element-count mismatch diagnostic of the size-uniform collectives:
+/// names the op, its category, and both ranks with the counts they
+/// passed. Out-of-line (comm.cpp) — built only on the failure path.
+std::string count_mismatch(const OpContext& ctx, std::size_t mine, int peer,
+                           std::size_t theirs);
+
+/// RAII bracket around one slot-reading region (a blocking collective, a
+/// nonblocking wait, a per-source drain). Healthy worlds pay two
 /// uncontended atomic RMWs. Its real job is the abort path: a rank whose
 /// exception escapes the region poisons the world immediately (so no peer
 /// starts a new read of this rank's published buffers) and then blocks
@@ -294,7 +321,10 @@ std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
 /// buffer this rank's unwind is about to free. Peers exit their regions
 /// in bounded time — parked ones are poison-woken and throw, active ones
 /// throw at their next await — and each dying rank closes its own region
-/// before waiting on the others', so mutual aborts cannot cycle.
+/// before waiting on the others', so mutual aborts cannot cycle. A window
+/// opened inside another on the same rank (the wait() of a blocking
+/// collective) is inert: only the outermost one counts, so a rank never
+/// drains peers while its own region is still open.
 /// ThreadSanitizer found the use-after-free window this closes (a killed
 /// rank's teardown racing a straggling reader); the acquire/release pair
 /// on the region counter is also the happens-before edge that orders the
@@ -304,9 +334,15 @@ class CollectiveWindow {
   CollectiveWindow(CommState& st, int rank)
       : st_(st),
         rank_(rank),
-        entry_exceptions_(std::uncaught_exceptions()) {
-    st_.in_collective[static_cast<std::size_t>(rank)].fetch_add(
-        1, std::memory_order_seq_cst);
+        entry_exceptions_(std::uncaught_exceptions()),
+        // Only this rank writes its own counter, so a relaxed load sees
+        // whether one of its own windows is already open.
+        outer_(st.in_collective[static_cast<std::size_t>(rank)].load(
+                   std::memory_order_relaxed) == 0) {
+    if (outer_) {
+      st_.in_collective[static_cast<std::size_t>(rank)].fetch_add(
+          1, std::memory_order_seq_cst);
+    }
   }
   ~CollectiveWindow();  // comm.cpp
 
@@ -317,6 +353,7 @@ class CollectiveWindow {
   CommState& st_;
   int rank_;
   int entry_exceptions_;  ///< uncaught count at entry; more at exit = unwind
+  bool outer_;            ///< false for a window nested in one of this rank's
 };
 
 }  // namespace detail
@@ -353,55 +390,18 @@ struct CompressBuf {
   std::size_t bound_n = 0;       ///< bound element count
 };
 
-namespace detail {
-
-/// Shared unpack of the blocking and nonblocking alltoallv: computes the
-/// per-source offsets from each rank's published (send, offsets) pair,
-/// copies this rank's chunks into `out`, and returns the self-chunk
-/// element count (which the charge excludes). One copy keeps the two
-/// paths' movement and charge arithmetic in lockstep.
-template <typename T>
-std::size_t alltoallv_unpack(int p, int rank,
-                             const std::vector<const void*>& ptr,
-                             const std::vector<const void*>& ptr2,
-                             Gathered<T>& out) {
-  const auto me = static_cast<std::size_t>(rank);
-  out.offsets.resize(static_cast<std::size_t>(p) + 1);
-  out.offsets[0] = 0;
-  std::size_t self_chunk = 0;
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (r == rank) self_chunk = len;
-    out.offsets[static_cast<std::size_t>(r) + 1] =
-        out.offsets[static_cast<std::size_t>(r)] + len;
-  }
-  out.data.resize(out.offsets.back());
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (len == 0) continue;
-    std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                static_cast<const T*>(ptr[static_cast<std::size_t>(r)]) +
-                    offs[me],
-                len * sizeof(T));
-  }
-  return self_chunk;
-}
-
-}  // namespace detail
-
 /// Handle to a posted-but-possibly-incomplete nonblocking collective.
 /// Move-only. wait() blocks until every member has posted the matching op,
 /// performs this rank's data movement, charges the meter exactly as the
 /// blocking form would, and releases the channel; a second wait() is a
 /// no-op, diagnosed as a ContractViolation when the contract checker is
-/// armed (gate repeat waits on pending()). A
-/// PendingOp that is destroyed while still pending completes itself first
-/// (like a blocking wait), swallowing abort errors so unwinding a failed
-/// world never terminates.
+/// armed (gate repeat waits on pending()). A PendingOp that is destroyed
+/// while still pending completes itself first (like a blocking wait),
+/// swallowing abort errors so unwinding a failed world never terminates —
+/// unless the destruction is part of an exception unwind: then the rank is
+/// failing, and the handle poisons the world and waits for peers' open
+/// reads to drain instead of completing, so the unwind cannot free a
+/// source a peer is still copying.
 ///
 /// Caller contract: every span passed to the posting call must stay valid
 /// and unmodified until *every* rank has waited the op (sources are read by
@@ -420,18 +420,13 @@ class PendingOp {
       meter_ = other.meter_;
       ticket_ = other.ticket_;
       cat_ = other.cat_;
-      root_ = other.root_;
+      op_ = other.op_;
+      lane_ = other.lane_;
       charged_ = other.charged_;
-      kind_ = other.kind_;
-      out_ = other.out_;
-      out_len_ = other.out_len_;
-      src_len_ = other.src_len_;
-      gathered_ = other.gathered_;
+      args_ = other.args_;
       drained_mask_ = other.drained_mask_;
       waited_ = other.waited_;
-      complete_ = other.complete_;
       other.state_.reset();
-      other.complete_ = nullptr;
       other.waited_ = false;  // moved-from behaves like an empty handle
     }
     return *this;
@@ -473,7 +468,7 @@ class PendingOp {
   template <typename T>
   std::span<const T> await_source(int src) {
     CAGNET_CHECK(pending(), "await_source on a non-pending op");
-    CAGNET_CHECK(kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr,
+    CAGNET_CHECK(per_source_drain(),
                  "await_source: op was not posted with ialltoallv_post");
     CAGNET_CHECK(src >= 0 && src < state_->size,
                  "await_source: source rank out of range");
@@ -483,28 +478,10 @@ class PendingOp {
     const detail::OpContext ctx{rank_, cat_, "ialltoallv_post drain"};
     detail::CollectiveWindow window(*state_, rank_);
     detail::seam_event(*state_, ctx, FaultSite::kWait);
-    auto& ch = *state_->channels[ticket_ %
-                                 static_cast<std::uint64_t>(
-                                     detail::kAsyncChannels)];
-    const std::uint64_t gen =
-        ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
-    if (src != rank_) {
-      detail::await_counter(ch.posted_by[static_cast<std::size_t>(src)],
-                            ch.waiters, gen + 1, state_->hub->aborted, ctx);
-    }
-    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(src)] == kind_ &&
-                     ch.root[static_cast<std::size_t>(src)] == root_,
-                 detail::order_mismatch(
-                     ctx, kind_, src, ch.kind[static_cast<std::size_t>(src)]));
-    const auto* offs = static_cast<const std::size_t*>(
-        ch.ptr2[static_cast<std::size_t>(src)]);
-    const auto me = static_cast<std::size_t>(rank_);
-    const std::size_t lo = offs[me];
-    const std::size_t n = offs[me + 1] - lo;
-    if (src != rank_) charge(1.0, n * sizeof(T));
+    const std::span<const T> chunk = await_chunk<T>(src, ctx);
+    if (src != rank_) charge(1.0, chunk.size_bytes());
     drained_mask_ |= std::uint64_t{1} << src;
-    return {static_cast<const T*>(ch.ptr[static_cast<std::size_t>(src)]) + lo,
-            n};
+    return chunk;
   }
 
   /// Caller-certified empty chunk: charge the per-source latency unit and
@@ -518,7 +495,7 @@ class PendingOp {
   /// blocking form's (1 latency unit, zero words).
   void skip_source(int src) {
     CAGNET_CHECK(pending(), "skip_source on a non-pending op");
-    CAGNET_CHECK(kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr,
+    CAGNET_CHECK(per_source_drain(),
                  "skip_source: op was not posted with ialltoallv_post");
     CAGNET_CHECK(src >= 0 && src < state_->size && src < 64,
                  "skip_source: source rank out of range");
@@ -531,25 +508,45 @@ class PendingOp {
  private:
   friend class Comm;
 
-  void complete_for_destroy() noexcept {
-    if (!pending()) return;
-    try {
-      wait();
-    } catch (...) {
-      // Unwinding a failed world: peers were released by the abort flag;
-      // there is nothing left to complete.
-      state_.reset();
+  void complete_for_destroy() noexcept;  // comm.cpp
+
+  detail::AsyncChannel& channel() const {
+    return state_->channel(lane_, ticket_);
+  }
+  std::uint64_t generation() const {
+    return detail::CommState::generation(lane_, ticket_);
+  }
+
+  /// An ialltoallv_post op: completed per source, no gathered destination.
+  bool per_source_drain() const {
+    return args_.kind == detail::OpKind::kAlltoallv && args_.out == nullptr;
+  }
+
+  /// Await `src`'s post of this op, validate it, and view the chunk it
+  /// addressed to this rank (alltoallv-post ops).
+  template <typename T>
+  std::span<const T> await_chunk(int src, const detail::OpContext& ctx) {
+    auto& ch = channel();
+    const auto s = static_cast<std::size_t>(src);
+    if (src != rank_) {
+      detail::await_counter(ch.posted_by[s], ch.waiters, generation() + 1,
+                            state_->hub->aborted, ctx);
     }
+    CAGNET_CHECK(ch.kind[s] == args_.kind && ch.root[s] == args_.root,
+                 detail::order_mismatch(ctx, src, ch.kind[s]));
+    const auto* offs = static_cast<const std::size_t*>(ch.ptr2[s]);
+    const auto me = static_cast<std::size_t>(rank_);
+    return {static_cast<const T*>(ch.ptr[s]) + offs[me],
+            offs[me + 1] - offs[me]};
   }
 
   // [[hot-path]]
   void charge(double latency_units, std::size_t bytes) {
     if (!charged_) return;
-    detail::seam_event(
-        *state_, {rank_, cat_, detail::op_kind_name(kind_)},
-        FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(rank_, detail::op_kind_name(kind_), cat_);
+    detail::seam_event(*state_, {rank_, cat_, op_}, FaultSite::kCharge);
+    if (auto* ck = state_->checker.get();
+        ck != nullptr && lane_ == detail::Lane::kRing) {
+      ck->on_charge(rank_, op_, cat_);
     }
     meter_->add(cat_, latency_units,
                 static_cast<double>(bytes) / sizeof(Real));
@@ -565,47 +562,25 @@ class PendingOp {
   template <typename T>
   static void complete_drain_impl(PendingOp& op) {
     const detail::OpContext ctx{op.rank_, op.cat_, "ialltoallv_post drain"};
-    auto& ch = *op.state_->channels[op.ticket_ %
-                                    static_cast<std::uint64_t>(
-                                        detail::kAsyncChannels)];
-    const std::uint64_t gen =
-        op.ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
-    const int p = op.state_->size;
-    for (int r = 0; r < p; ++r) {
-      if (r == op.rank_ ||
-          (op.drained_mask_ & (std::uint64_t{1} << r)) != 0) {
+    for (int r = 0; r < op.state_->size; ++r) {
+      if (r == op.rank_ || (op.drained_mask_ & (std::uint64_t{1} << r)) != 0) {
         continue;
       }
-      detail::await_counter(ch.posted_by[static_cast<std::size_t>(r)],
-                            ch.waiters, gen + 1, op.state_->hub->aborted,
-                            ctx);
-      CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
-                       ch.root[static_cast<std::size_t>(r)] == op.root_,
-                   detail::order_mismatch(
-                       ctx, op.kind_, r,
-                       ch.kind[static_cast<std::size_t>(r)]));
-      const auto* offs = static_cast<const std::size_t*>(
-          ch.ptr2[static_cast<std::size_t>(r)]);
-      const auto me = static_cast<std::size_t>(op.rank_);
-      op.charge(1.0, (offs[me + 1] - offs[me]) * sizeof(T));
+      op.charge(1.0, op.await_chunk<T>(r, ctx).size_bytes());
     }
   }
 
   std::shared_ptr<detail::CommState> state_;
   int rank_ = 0;
   CostMeter* meter_ = nullptr;
-  std::uint64_t ticket_ = 0;
+  std::uint64_t ticket_ = 0;  ///< posting index on its lane
   CommCategory cat_ = CommCategory::kControl;
-  int root_ = -1;
+  const char* op_ = "none";   ///< display name (seams, diagnostics)
+  detail::Lane lane_ = detail::Lane::kRing;
   bool charged_ = true;
-  detail::OpKind kind_ = detail::OpKind::kNone;
-  void* out_ = nullptr;          ///< this rank's destination (kind-specific)
-  std::size_t out_len_ = 0;      ///< destination element count
-  std::size_t src_len_ = 0;      ///< this rank's contribution element count
-  void* gathered_ = nullptr;     ///< Gathered<T>* for iallgatherv_into
+  detail::PostArgs args_;
   std::uint64_t drained_mask_ = 0;  ///< await_source ledger (bit per rank)
   bool waited_ = false;  ///< completed by an explicit wait (double-wait check)
-  void (*complete_)(PendingOp&) = nullptr;  ///< typed movement + charge
 };
 
 /// Handle to a posted compressed reduction (iallreduce_sum_compressed /
@@ -668,17 +643,22 @@ class PendingCompressedReduce {
 
   void complete_for_destroy() noexcept {
     if (!pending()) return;
-    try {
-      wait();
-    } catch (...) {
-      buf_ = nullptr;  // unwinding a failed world; nothing left to finish
-      state_.reset();
+    if (std::uncaught_exceptions() == 0) {
+      try {
+        wait();
+        return;
+      } catch (...) {
+      }
     }
+    // A failed world, or an unwind: nothing left to finish. An unwind
+    // leaves op_ pending, and its own destruction poisons and drains.
+    buf_ = nullptr;
+    state_.reset();
   }
 
   PendingOp op_;
-  /// Kept alongside op_ (which drops its own ref at wait) so the decode
-  /// epilogue can reach the contract checker for charge attribution.
+  /// Kept alongside op_ so wait() can reach the contract checker for
+  /// charge attribution.
   std::shared_ptr<detail::CommState> state_;
   CompressBuf* buf_ = nullptr;
   CostMeter* meter_ = nullptr;
@@ -714,7 +694,8 @@ class Comm {
     return *meter_;
   }
 
-  /// Synchronize all members (one barrier phase; charges nothing).
+  /// Synchronize all members (one rendezvous; charges nothing and reports
+  /// no seam event).
   void barrier();
 
   /// Report a named zero-cost protocol event at the transport seam
@@ -732,8 +713,8 @@ class Comm {
   /// Block until every member has completed (waited) every nonblocking op
   /// posted so far on this communicator — the release point after which
   /// the source buffers of those ops may be modified or freed. Unlike
-  /// barrier() this is not a phase: it costs a handful of atomic loads
-  /// when peers have already drained, and it charges nothing. The
+  /// barrier() this is not a rendezvous: it costs a handful of atomic
+  /// loads when peers have already drained, and it charges nothing. The
   /// double-buffered loops call it before reusing a broadcast source.
   /// CAUTION: quiescing while an op that peers deliberately wait *later*
   /// (e.g. a deferred gradient reduction) is outstanding deadlocks; use
@@ -750,10 +731,14 @@ class Comm {
   /// Collective split into disjoint sub-communicators by color; ranks are
   /// ordered by (key, parent rank) within each color. Every member of this
   /// communicator must call. The sub-communicator shares this rank's meter
-  /// and the world's abort flag.
+  /// and the world's abort flag. Charges nothing and reports no seam
+  /// event.
   Comm split(int color, int key) const;
 
-  // ---- Collectives. `cat` selects the CostMeter category. ----
+  // ---- Collectives. `cat` selects the CostMeter category. Each blocking
+  // form is its nonblocking post, waited at once and released before it
+  // returns; it rides the blocking lane, so it takes no ticket from the
+  // nonblocking ring and may run while ring ops are in flight. ----
 
   /// In-place broadcast from `root` to all members. Charges lg(P) latency
   /// units and data.size() words to every rank (nothing when P == 1).
@@ -761,22 +746,7 @@ class Comm {
   void broadcast(std::span<T> data, int root, CommCategory cat) {
     check_valid("broadcast");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    sync_sizes(data.size(), ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && !data.empty()) {
-      std::memcpy(data.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  data.size() * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), data.size() * sizeof(T));
+    run_blocking({rank_, cat, "broadcast"}, bcast_args<T>(data, data, root));
   }
 
   /// Broadcast that reads directly from the root's existing buffer: the
@@ -790,24 +760,8 @@ class Comm {
                       CommCategory cat) {
     check_valid("broadcast_from");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast_from"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const std::size_t n = rank_ == root ? src.size() : dst.size();
-    sync_sizes(n, ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] =
-        rank_ == root ? static_cast<const void*>(src.data()) : nullptr;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && n > 0) {
-      std::memcpy(dst.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  n * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), n * sizeof(T));
+    run_blocking({rank_, cat, "broadcast_from"},
+                 bcast_args<T>(src, dst, root));
   }
 
   /// In-place elementwise sum over all members; every rank ends with the
@@ -816,7 +770,7 @@ class Comm {
   template <typename T>
   void allreduce_sum(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_sum");
-    reduce_impl(data, cat, /*is_max=*/false, "allreduce_sum");
+    reduce_in_place(data, cat, detail::OpKind::kAllreduce, "allreduce_sum");
   }
 
   /// In-place elementwise max over all members. Charged like
@@ -824,50 +778,22 @@ class Comm {
   template <typename T>
   void allreduce_max(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_max");
-    reduce_impl(data, cat, /*is_max=*/true, "allreduce_max");
+    reduce_in_place(data, cat, detail::OpKind::kAllreduceMax,
+                    "allreduce_max");
   }
 
   /// Reduce-scatter with sum: `contrib` (same length on every rank) is the
   /// full-length vector of partial sums; rank r receives the reduced slice
   /// [chunk_offset(r), chunk_offset(r)+out.size()) into `out`, where chunk
-  /// boundaries are the concatenation of every rank's out.size(). Charges
-  /// lg(P) latency units and total (P-1)/P words.
+  /// boundaries are the concatenation of every rank's out.size(). `out`
+  /// must not alias any rank's `contrib`. Charges lg(P) latency units and
+  /// total (P-1)/P words.
   template <typename T>
   void reduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
                           CommCategory cat) {
     check_valid("reduce_scatter_sum");
-    const detail::OpContext ctx{rank_, cat, "reduce_scatter_sum"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = contrib.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = out.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    std::size_t offset = 0;
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) offset = total;
-      total += state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    CAGNET_CHECK(contrib.size() == total,
-                 "reduce_scatter: contribution length != sum of outputs");
-    // Chunk-by-chunk with contiguous inner loops so the accumulation
-    // vectorizes like the other collectives. The per-element order (zero,
-    // then ranks ascending) matches the per-element form exactly, so the
-    // result is bitwise identical.
-    std::fill(out.begin(), out.end(), T{});
-    for (int r = 0; r < p; ++r) {
-      const T* src = static_cast<const T*>(
-                         state_->slot_ptr[static_cast<std::size_t>(r)]) +
-                     offset;
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += src[i];
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           total * sizeof(T) * (p - 1) / std::max(p, 1));
+    run_blocking({rank_, cat, "reduce_scatter_sum"},
+                 reduce_scatter_args(contrib, out));
   }
 
   /// All-gather of equal-size chunks: every rank contributes `mine`, and
@@ -875,8 +801,14 @@ class Comm {
   template <typename T>
   std::vector<T> allgather(std::span<const T> mine, CommCategory cat) {
     check_valid("allgather");
-    sync_sizes(mine.size(), {rank_, cat, "allgather"});
-    return allgatherv(mine, cat).data;
+    Gathered<T> all = allgatherv(mine, cat);
+    for (int r = 0; r < size(); ++r) {
+      const std::size_t theirs = all.chunk(r).size();
+      CAGNET_CHECK(theirs == mine.size(),
+                   detail::count_mismatch({rank_, cat, "allgather"},
+                                          mine.size(), r, theirs));
+    }
+    return std::move(all.data);
   }
 
   /// All-gather of variable-size chunks. Charges lg(P) latency units and
@@ -895,62 +827,18 @@ class Comm {
   void allgatherv_into(std::span<const T> mine, Gathered<T>& out,
                        CommCategory cat) {
     check_valid("allgatherv_into");
-    const detail::OpContext ctx{rank_, cat, "allgatherv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    out.offsets.resize(static_cast<std::size_t>(p) + 1);
-    out.offsets[0] = 0;
-    for (int r = 0; r < p; ++r) {
-      out.offsets[static_cast<std::size_t>(r) + 1] =
-          out.offsets[static_cast<std::size_t>(r)] +
-          state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    out.data.resize(out.offsets.back());
-    for (int r = 0; r < p; ++r) {
-      const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-      if (len == 0) continue;
-      std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                  state_->slot_ptr[static_cast<std::size_t>(r)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p), (out.data.size() - mine.size()) * sizeof(T));
+    run_blocking({rank_, cat, "allgatherv_into"}, allgatherv_args(mine, out));
   }
 
   /// Pairwise exchange: send `send` to `peer` and receive its message.
   /// Both sides must name each other; peer == rank() is a local copy.
   /// Charges 1 latency unit and the received words (nothing for self).
+  /// A route whose permutation is the pairing.
   template <typename T>
   std::vector<T> exchange(std::span<const T> send, int peer,
                           CommCategory cat) {
     check_valid("exchange");
-    check_member(peer);
-    const detail::OpContext ctx{rank_, cat, "exchange"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const auto len = state_->slot_len[static_cast<std::size_t>(peer)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(peer)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (peer != rank_) charge(ctx, 1.0, len * sizeof(T));
-    return recv;
+    return route_as(send, peer, {rank_, cat, "exchange"});
   }
 
   /// Permutation all-to-all: every rank sends one message to `dest`; the
@@ -961,35 +849,7 @@ class Comm {
   template <typename T>
   std::vector<T> route(std::span<const T> send, int dest, CommCategory cat) {
     check_valid("route");
-    check_member(dest);
-    const detail::OpContext ctx{rank_, cat, "route"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    state_->slot_dest[static_cast<std::size_t>(rank_)] = dest;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    int src = -1;
-    for (int r = 0; r < size(); ++r) {
-      if (state_->slot_dest[static_cast<std::size_t>(r)] == rank_) {
-        src = r;
-        break;
-      }
-    }
-    CAGNET_CHECK(src >= 0, "route: destinations do not form a permutation");
-    const auto len = state_->slot_len[static_cast<std::size_t>(src)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(src)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (src != rank_) charge(ctx, 1.0, len * sizeof(T));
-    return recv;
+    return route_as(send, dest, {rank_, cat, "route"});
   }
 
   /// Individualized all-to-all with variable chunk sizes: `send` holds this
@@ -1006,67 +866,13 @@ class Comm {
                       Gathered<T>& out, CommCategory cat) {
     check_valid("alltoallv_into");
     check_offsets(send.size(), send_offsets, "alltoallv_into");
-    const detail::OpContext ctx{rank_, cat, "alltoallv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_ptr2[static_cast<std::size_t>(rank_)] = send_offsets.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-        p, rank_, state_->slot_ptr, state_->slot_ptr2, out);
-    phase(ctx);
-    charge(ctx, p > 1 ? static_cast<double>(p - 1) : 0.0,
-           (out.data.size() - self_chunk) * sizeof(T));
+    run_blocking({rank_, cat, "alltoallv_into"},
+                 alltoallv_args(send, send_offsets, &out));
   }
 
-  /// Gather to root (rank-ordered concatenation at root; empty elsewhere).
-  /// Charges lg(P) latency units; the root is charged the received words,
-  /// everyone else their sent words.
-  template <typename T>
-  Gathered<T> gather(std::span<const T> mine, int root, CommCategory cat) {
-    check_valid("gather");
-    check_member(root);
-    const detail::OpContext ctx{rank_, cat, "gather"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    Gathered<T> result;
-    if (rank_ == root) {
-      result.offsets.resize(static_cast<std::size_t>(p) + 1, 0);
-      for (int r = 0; r < p; ++r) {
-        result.offsets[static_cast<std::size_t>(r) + 1] =
-            result.offsets[static_cast<std::size_t>(r)] +
-            state_->slot_len[static_cast<std::size_t>(r)];
-      }
-      result.data.resize(result.offsets.back());
-      for (int r = 0; r < p; ++r) {
-        const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-        if (len == 0) continue;
-        std::memcpy(
-            result.data.data() + result.offsets[static_cast<std::size_t>(r)],
-            state_->slot_ptr[static_cast<std::size_t>(r)], len * sizeof(T));
-      }
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           rank_ == root ? (result.data.size() - mine.size()) * sizeof(T)
-                         : mine.size() * sizeof(T));
-    return result;
-  }
-
-  // ---- Nonblocking collectives. Posts are nonblocking (no barrier
-  // phase); data moves and the meter is charged at PendingOp::wait(),
-  // with charges identical to the blocking forms. `charged = false`
+  // ---- Nonblocking collectives. Posts are nonblocking (no rendezvous);
+  // data moves and the meter is charged at PendingOp::wait(), with
+  // charges identical to the blocking forms. `charged = false`
   // suppresses the automatic charge for callers that account the traffic
   // themselves (e.g. an op split into chunks whose per-chunk integer
   // charges would not sum to the unsplit op's). ----
@@ -1079,12 +885,7 @@ class Comm {
                             int root, CommCategory cat, bool charged = true) {
     check_valid("ibroadcast_from");
     check_member(root);
-    const bool is_root = rank_ == root;
-    return post_async(detail::OpKind::kBcast,
-                      is_root ? static_cast<const void*>(src.data()) : nullptr,
-                      is_root ? src.size() : dst.size(), root, cat, charged,
-                      &PendingOp::complete_impl<T>, dst.data(), dst.size(),
-                      src.size(), nullptr);
+    return post_ring(cat, charged, bcast_args<T>(src, dst, root));
   }
 
   /// Nonblocking reduce_scatter_sum (same chunking contract as the
@@ -1094,10 +895,7 @@ class Comm {
   PendingOp ireduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
                                 CommCategory cat, bool charged = true) {
     check_valid("ireduce_scatter_sum");
-    return post_async(detail::OpKind::kReduceScatter, contrib.data(),
-                      out.size(), /*root=*/0, cat, charged,
-                      &PendingOp::complete_impl<T>, out.data(), out.size(),
-                      contrib.size(), nullptr);
+    return post_ring(cat, charged, reduce_scatter_args(contrib, out));
   }
 
   /// Nonblocking allgatherv_into. `out` (resized at wait) must outlive the
@@ -1106,9 +904,7 @@ class Comm {
   PendingOp iallgatherv_into(std::span<const T> mine, Gathered<T>& out,
                              CommCategory cat, bool charged = true) {
     check_valid("iallgatherv_into");
-    return post_async(detail::OpKind::kAllgatherv, mine.data(), mine.size(),
-                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
-                      nullptr, 0, mine.size(), &out);
+    return post_ring(cat, charged, allgatherv_args(mine, out));
   }
 
   /// Nonblocking *out-of-place* all-reduce sum: every rank posts `contrib`
@@ -1122,10 +918,9 @@ class Comm {
     check_valid("iallreduce_sum");
     CAGNET_CHECK(contrib.size() == out.size(),
                  "iallreduce_sum: contrib/out length mismatch");
-    return post_async(detail::OpKind::kAllreduce, contrib.data(),
-                      contrib.size(), /*root=*/0, cat, charged,
-                      &PendingOp::complete_impl<T>, out.data(), out.size(),
-                      contrib.size(), nullptr);
+    return post_ring(cat, charged,
+                     allreduce_args(contrib.data(), out,
+                                    detail::OpKind::kAllreduce));
   }
 
   /// Nonblocking alltoallv_into. `send` AND `send_offsets` must stay valid
@@ -1139,9 +934,7 @@ class Comm {
                             bool charged = true) {
     check_valid("ialltoallv_into");
     check_offsets(send.size(), send_offsets, "ialltoallv_into");
-    return post_async(detail::OpKind::kAlltoallv, send.data(), send.size(),
-                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
-                      nullptr, 0, send.size(), &out, send_offsets.data());
+    return post_ring(cat, charged, alltoallv_args(send, send_offsets, &out));
   }
 
   /// Nonblocking alltoallv without a gathered destination, made for
@@ -1163,10 +956,9 @@ class Comm {
     CAGNET_CHECK(size() <= 64,
                  "ialltoallv_post: per-source drain supports at most 64 "
                  "ranks; use ialltoallv_into");
-    return post_async(detail::OpKind::kAlltoallv, send.data(), send.size(),
-                      /*root=*/0, cat, charged,
-                      &PendingOp::complete_drain_impl<T>, nullptr, 0,
-                      send.size(), nullptr, send_offsets.data());
+    detail::PostArgs args = alltoallv_args<T>(send, send_offsets, nullptr);
+    args.complete = &PendingOp::complete_drain_impl<T>;
+    return post_ring(cat, charged, args);
   }
 
   // ---- Compressed collectives (the CAGNET_COMPRESS paths). All charge
@@ -1218,7 +1010,6 @@ class Comm {
  private:
   friend void run_world(int, const std::function<void(Comm&)>&,
                         std::vector<CostMeter>*);
-  friend class PendingOp;
 
   Comm(std::shared_ptr<detail::CommState> state, int rank, CostMeter* meter)
       : state_(std::move(state)), rank_(rank), meter_(meter) {}
@@ -1235,16 +1026,6 @@ class Comm {
                      "from run_world or split)");
   }
 
-  /// One barrier phase with abort propagation: unwinds with a CommAborted
-  /// naming `ctx` as soon as the world dies, even while parked (the
-  /// PhaseGate is poison-wakeable). Const because it only touches the
-  /// shared state, never this rank's identity.
-  void phase(const detail::OpContext& ctx) const;
-
-  /// Debug-style guard: all ranks must pass matching sizes to size-uniform
-  /// collectives (cheap, and catches the classic SUMMA off-by-one).
-  void sync_sizes(std::size_t n, const detail::OpContext& ctx) const;
-
   /// Purely local alltoallv offsets validation: size()+1 monotone entries
   /// spanning exactly the send buffer.
   void check_offsets(std::size_t send_len,
@@ -1260,16 +1041,6 @@ class Comm {
     }
   }
 
-  void charge(const detail::OpContext& ctx, double latency_units,
-              std::size_t bytes) {
-    detail::seam_event(*state_, ctx, FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(ctx.rank, ctx.op, ctx.cat);
-    }
-    meter_->add(ctx.cat, latency_units,
-                static_cast<double>(bytes) / sizeof(Real));
-  }
-
   /// Bind `buf` to this communicator and element count; a change of
   /// either resets the error-feedback residual (feedback accumulated on
   /// another communicator or buffer shape must not leak into this one).
@@ -1281,56 +1052,111 @@ class Comm {
     }
   }
 
-  /// Claim the next ticket, publish this rank's slot on its channel, and
-  /// hand back the armed PendingOp. Out-of-line (comm.cpp).
-  PendingOp post_async(detail::OpKind kind, const void* publish_ptr,
-                       std::size_t publish_len, int root, CommCategory cat,
-                       bool charged, void (*complete)(PendingOp&), void* out,
-                       std::size_t out_len, std::size_t src_len,
-                       void* gathered, const void* publish_ptr2 = nullptr);
+  // ---- Post arguments shared by the blocking and nonblocking forms. ----
+
+  /// The root publishes `src`; every other rank publishes its
+  /// dst.size() and receives into `dst`.
+  template <typename T>
+  detail::PostArgs bcast_args(std::span<const T> src, std::span<T> dst,
+                              int root) const {
+    const bool is_root = rank_ == root;
+    return {.kind = detail::OpKind::kBcast,
+            .ptr = is_root ? static_cast<const void*>(src.data()) : nullptr,
+            .len = is_root ? src.size() : dst.size(),
+            .root = root,
+            .out = dst.data(),
+            .complete = &PendingOp::complete_impl<T>};
+  }
 
   template <typename T>
-  void reduce_impl(std::span<T> data, CommCategory cat, bool is_max,
-                   const char* op) {
-    const detail::OpContext ctx{rank_, cat, op};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ == 0) state_->scratch.resize(data.size() * sizeof(T));
-    phase(ctx);
-    T* scratch = reinterpret_cast<T*>(state_->scratch.data());
-    // Rank r reduces its chunk across all publishers (reduce-scatter step).
-    const std::size_t lo = data.size() * static_cast<std::size_t>(rank_) /
-                           static_cast<std::size_t>(p);
-    const std::size_t hi = data.size() *
-                           (static_cast<std::size_t>(rank_) + 1) /
-                           static_cast<std::size_t>(p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      T acc = static_cast<const T*>(state_->slot_ptr[0])[i];
-      for (int r = 1; r < p; ++r) {
-        const T v =
-            static_cast<const T*>(state_->slot_ptr[static_cast<std::size_t>(r)])[i];
-        if (is_max) {
-          if (v > acc) acc = v;
-        } else {
-          acc += v;
-        }
-      }
-      scratch[i] = acc;
-    }
-    phase(ctx);
-    // All-gather step: everyone copies the full reduced vector.
-    if (!data.empty()) {
-      std::memcpy(data.data(), scratch, data.size() * sizeof(T));
-    }
-    phase(ctx);
-    charge(ctx, 2.0 * ceil_log2(p),
-           2 * data.size() * sizeof(T) * (p - 1) / std::max(p, 1));
+  detail::PostArgs reduce_scatter_args(std::span<const T> contrib,
+                                       std::span<T> out) const {
+    return {.kind = detail::OpKind::kReduceScatter,
+            .ptr = contrib.data(),
+            .len = out.size(),
+            .out = out.data(),
+            .src_len = contrib.size(),
+            .complete = &PendingOp::complete_impl<T>};
+  }
+
+  template <typename T>
+  detail::PostArgs allgatherv_args(std::span<const T> mine,
+                                   Gathered<T>& out) const {
+    return {.kind = detail::OpKind::kAllgatherv,
+            .ptr = mine.data(),
+            .len = mine.size(),
+            .out = &out,
+            .complete = &PendingOp::complete_impl<T>};
+  }
+
+  template <typename T>
+  detail::PostArgs allreduce_args(const T* contrib, std::span<T> out,
+                                  detail::OpKind kind) const {
+    return {.kind = kind,
+            .ptr = contrib,
+            .len = out.size(),
+            .out = out.data(),
+            .complete = &PendingOp::complete_impl<T>};
+  }
+
+  template <typename T>
+  detail::PostArgs alltoallv_args(std::span<const T> send,
+                                  std::span<const std::size_t> send_offsets,
+                                  Gathered<T>* out) const {
+    return {.kind = detail::OpKind::kAlltoallv,
+            .ptr = send.data(),
+            .ptr2 = send_offsets.data(),
+            .len = send.size(),
+            .out = out,
+            .complete = &PendingOp::complete_impl<T>};
+  }
+
+  /// Claim the next ticket on `lane`, publish this rank's slot on its
+  /// channel, and hand back the armed PendingOp. Out-of-line (comm.cpp).
+  PendingOp post_async(detail::Lane lane, const detail::OpContext& ctx,
+                       bool charged, const detail::PostArgs& args) const;
+
+  /// A nonblocking post, named by its op kind.
+  PendingOp post_ring(CommCategory cat, bool charged,
+                      const detail::PostArgs& args) const {
+    return post_async(detail::Lane::kRing,
+                      {rank_, cat, detail::op_kind_name(args.kind)}, charged,
+                      args);
+  }
+
+  /// A blocking collective: post on the blocking lane, wait, and return
+  /// only once every member has completed the op, so the caller may reuse
+  /// or free its buffers. The whole call is one CollectiveWindow.
+  /// Out-of-line (comm.cpp).
+  void run_blocking(const detail::OpContext& ctx,
+                    const detail::PostArgs& args,
+                    detail::Lane lane = detail::Lane::kBlocking) const;
+
+  template <typename T>
+  std::vector<T> route_as(std::span<const T> send, int dest,
+                          const detail::OpContext& ctx) {
+    check_member(dest);
+    std::vector<T> recv;
+    run_blocking(ctx, {.kind = detail::OpKind::kRoute,
+                       .ptr = send.data(),
+                       .len = send.size(),
+                       .root = dest,
+                       .out = &recv,
+                       .complete = &PendingOp::complete_impl<T>});
+    return recv;
+  }
+
+  /// In-place all-reduce: the contribution is staged in this rank's
+  /// staging buffer, because peers read it while `data` takes the result.
+  template <typename T>
+  void reduce_in_place(std::span<T> data, CommCategory cat,
+                       detail::OpKind kind, const char* op) {
+    auto& stage = state_->staging[static_cast<std::size_t>(rank_)];
+    stage.resize(data.size_bytes());
+    if (!data.empty()) std::memcpy(stage.data(), data.data(), stage.size());
+    run_blocking({rank_, cat, op},
+                 allreduce_args(reinterpret_cast<const T*>(stage.data()),
+                                data, kind));
   }
 
   std::shared_ptr<detail::CommState> state_;
@@ -1340,35 +1166,36 @@ class Comm {
 
 template <typename T>
 void PendingOp::complete_impl(PendingOp& op) {
-  auto& ch = *op.state_->channels[op.ticket_ %
-                                  static_cast<std::uint64_t>(
-                                      detail::kAsyncChannels)];
+  const auto& ch = op.channel();
+  const detail::PostArgs& a = op.args_;
+  const detail::OpContext ctx{op.rank_, op.cat_, op.op_};
   const int p = op.state_->size;
-  if (op.kind_ == detail::OpKind::kBcast && op.rank_ == op.root_) {
+  const auto me = static_cast<std::size_t>(op.rank_);
+  if (a.kind == detail::OpKind::kBcast && op.rank_ == a.root) {
     // Passive root completion: peers may not have posted yet (wait()
     // skipped the await), so validate nothing and charge from this
-    // rank's own published length — identical to the blocking charge.
-    if (p > 1) op.charge(ceil_log2(p), op.src_len_ * sizeof(T));
+    // rank's own published length.
+    if (p > 1) op.charge(ceil_log2(p), a.len * sizeof(T));
     return;
   }
   for (int r = 0; r < p; ++r) {
-    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
-                     ch.root[static_cast<std::size_t>(r)] == op.root_,
-                 detail::order_mismatch(
-                     {op.rank_, op.cat_, detail::op_kind_name(op.kind_)},
-                     op.kind_, r, ch.kind[static_cast<std::size_t>(r)]));
+    const auto s = static_cast<std::size_t>(r);
+    // A route's root is each rank's own destination.
+    CAGNET_CHECK(ch.kind[s] == a.kind && (a.kind == detail::OpKind::kRoute ||
+                                          ch.root[s] == a.root),
+                 detail::order_mismatch(ctx, r, ch.kind[s]));
   }
-  switch (op.kind_) {
+  const auto source = [&](int r) {
+    return static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)]);
+  };
+  switch (a.kind) {
     case detail::OpKind::kBcast: {
-      const std::size_t n = ch.len[static_cast<std::size_t>(op.root_)];
+      const std::size_t n = ch.len[me];
       for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "ibroadcast_from: ranks disagree on element count");
+        const std::size_t theirs = ch.len[static_cast<std::size_t>(r)];
+        CAGNET_CHECK(theirs == n, detail::count_mismatch(ctx, n, r, theirs));
       }
-      if (n > 0) {
-        std::memcpy(op.out_, ch.ptr[static_cast<std::size_t>(op.root_)],
-                    n * sizeof(T));
-      }
+      if (n > 0) std::memcpy(a.out, source(a.root), n * sizeof(T));
       if (p > 1) op.charge(ceil_log2(p), n * sizeof(T));
       break;
     }
@@ -1379,15 +1206,15 @@ void PendingOp::complete_impl(PendingOp& op) {
         if (r == op.rank_) offset = total;
         total += ch.len[static_cast<std::size_t>(r)];
       }
-      CAGNET_CHECK(op.src_len_ == total,
-                   "ireduce_scatter: contribution length != sum of outputs");
-      T* out = static_cast<T*>(op.out_);
-      std::fill(out, out + op.out_len_, T{});
+      CAGNET_CHECK(a.src_len == total,
+                   "reduce_scatter: contribution length != sum of outputs");
+      // Chunk by chunk with contiguous inner loops so the accumulation
+      // vectorizes; the per-element order is zero, then ranks ascending.
+      T* out = static_cast<T*>(a.out);
+      std::fill(out, out + a.len, T{});
       for (int r = 0; r < p; ++r) {
-        const T* src =
-            static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)]) +
-            offset;
-        for (std::size_t i = 0; i < op.out_len_; ++i) out[i] += src[i];
+        const T* src = source(r) + offset;
+        for (std::size_t i = 0; i < a.len; ++i) out[i] += src[i];
       }
       op.charge(ceil_log2(p),
                 total * sizeof(T) * (p - 1) /
@@ -1395,38 +1222,44 @@ void PendingOp::complete_impl(PendingOp& op) {
       break;
     }
     case detail::OpKind::kAllgatherv: {
-      auto& out = *static_cast<Gathered<T>*>(op.gathered_);
+      auto& out = *static_cast<Gathered<T>*>(a.out);
       out.offsets.resize(static_cast<std::size_t>(p) + 1);
       out.offsets[0] = 0;
       for (int r = 0; r < p; ++r) {
-        out.offsets[static_cast<std::size_t>(r) + 1] =
-            out.offsets[static_cast<std::size_t>(r)] +
-            ch.len[static_cast<std::size_t>(r)];
+        const auto s = static_cast<std::size_t>(r);
+        out.offsets[s + 1] = out.offsets[s] + ch.len[s];
       }
       out.data.resize(out.offsets.back());
       for (int r = 0; r < p; ++r) {
         const auto len = ch.len[static_cast<std::size_t>(r)];
         if (len == 0) continue;
-        std::memcpy(out.data.data() +
-                        out.offsets[static_cast<std::size_t>(r)],
-                    ch.ptr[static_cast<std::size_t>(r)], len * sizeof(T));
+        std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
+                    source(r), len * sizeof(T));
       }
-      op.charge(ceil_log2(p), (out.data.size() - op.src_len_) * sizeof(T));
+      op.charge(ceil_log2(p), (out.data.size() - a.len) * sizeof(T));
       break;
     }
-    case detail::OpKind::kAllreduce: {
-      const std::size_t n = op.out_len_;
+    case detail::OpKind::kAllreduce:
+    case detail::OpKind::kAllreduceMax: {
+      const std::size_t n = a.len;
       for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "iallreduce_sum: ranks disagree on element count");
+        const std::size_t theirs = ch.len[static_cast<std::size_t>(r)];
+        CAGNET_CHECK(theirs == n, detail::count_mismatch(ctx, n, r, theirs));
       }
-      T* out = static_cast<T*>(op.out_);
-      for (std::size_t i = 0; i < n; ++i) {
-        T acc = static_cast<const T*>(ch.ptr[0])[i];
-        for (int r = 1; r < p; ++r) {
-          acc += static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)])[i];
+      // Every element accumulates ranks in ascending order on every rank,
+      // so all ranks hold bitwise the same result.
+      T* out = static_cast<T*>(a.out);
+      const auto reduce = [&](auto combine) {
+        for (std::size_t i = 0; i < n; ++i) {
+          T acc = source(0)[i];
+          for (int r = 1; r < p; ++r) acc = combine(acc, source(r)[i]);
+          out[i] = acc;
         }
-        out[i] = acc;
+      };
+      if (a.kind == detail::OpKind::kAllreduceMax) {
+        reduce([](T acc, T v) { return v > acc ? v : acc; });
+      } else {
+        reduce([](T acc, T v) { return acc + v; });
       }
       op.charge(2.0 * ceil_log2(p),
                 2 * n * sizeof(T) * (p - 1) /
@@ -1434,13 +1267,52 @@ void PendingOp::complete_impl(PendingOp& op) {
       break;
     }
     case detail::OpKind::kAlltoallv: {
-      auto& out = *static_cast<Gathered<T>*>(op.gathered_);
-      const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-          p, op.rank_, ch.ptr, ch.ptr2, out);
+      // Rank r's chunk for this rank is [offs_r[me], offs_r[me+1]) of its
+      // send buffer; the self chunk is not charged.
+      auto& out = *static_cast<Gathered<T>*>(a.out);
+      const auto chunk_len = [&](int r) {
+        const auto* offs = static_cast<const std::size_t*>(
+            ch.ptr2[static_cast<std::size_t>(r)]);
+        return offs[me + 1] - offs[me];
+      };
+      out.offsets.resize(static_cast<std::size_t>(p) + 1);
+      out.offsets[0] = 0;
+      for (int r = 0; r < p; ++r) {
+        const auto s = static_cast<std::size_t>(r);
+        out.offsets[s + 1] = out.offsets[s] + chunk_len(r);
+      }
+      out.data.resize(out.offsets.back());
+      for (int r = 0; r < p; ++r) {
+        const std::size_t len = chunk_len(r);
+        if (len == 0) continue;
+        const auto* offs = static_cast<const std::size_t*>(
+            ch.ptr2[static_cast<std::size_t>(r)]);
+        std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
+                    source(r) + offs[me], len * sizeof(T));
+      }
       op.charge(p > 1 ? static_cast<double>(p - 1) : 0.0,
-                (out.data.size() - self_chunk) * sizeof(T));
+                (out.data.size() - chunk_len(op.rank_)) * sizeof(T));
       break;
     }
+    case detail::OpKind::kRoute: {
+      int src = -1;
+      for (int r = 0; r < p; ++r) {
+        if (ch.root[static_cast<std::size_t>(r)] == op.rank_) {
+          src = r;
+          break;
+        }
+      }
+      CAGNET_CHECK(src >= 0, "route: destinations do not form a permutation");
+      auto& recv = *static_cast<std::vector<T>*>(a.out);
+      recv.resize(ch.len[static_cast<std::size_t>(src)]);
+      if (!recv.empty()) {
+        std::memcpy(recv.data(), source(src), recv.size() * sizeof(T));
+      }
+      if (src != op.rank_) op.charge(1.0, recv.size() * sizeof(T));
+      break;
+    }
+    case detail::OpKind::kBarrier:
+      break;
     case detail::OpKind::kNone:
       CAGNET_CHECK(false, "completing an unarmed PendingOp");
   }
@@ -1449,10 +1321,9 @@ void PendingOp::complete_impl(PendingOp& op) {
 /// Launch a world of `p` ranks, each running `fn(comm)` on its own thread.
 /// Rethrows the first rank exception after joining all threads. Peers
 /// blocked anywhere — nonblocking waits, per-source drains, or blocking
-/// collectives' barrier phases, on the world or any split
-/// sub-communicator — are released by the abort machinery (the PhaseGate
-/// and channel counters are poison-wakeable) and unwind with a typed
-/// CommAborted naming their rank, op, and category. The thread pool and
+/// collectives, on the world or any split sub-communicator — are released
+/// by the abort machinery (every channel counter is poison-wakeable) and
+/// unwind with a typed CommAborted naming their rank, op, and category. The thread pool and
 /// the process-wide knobs are untouched by an abort, so the caller may
 /// immediately launch a fresh world (the recovery driver in
 /// src/core/recovery.hpp does). The world consults the process-global

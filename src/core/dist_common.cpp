@@ -377,9 +377,9 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
   }
   std::array<double, 2> acc = {loss_sum, hits};
   if (scratch != nullptr) {
-    // Nonblocking (overlap-mode) form: one lock-free rendezvous instead
-    // of four barrier phases. The caller owns the scratch lifetime and
-    // quiesces `comm` before reusing it.
+    // Nonblocking (overlap-mode) form: no wait for every peer to finish,
+    // which the blocking form ends with. The caller owns the scratch
+    // lifetime and quiesces `comm` before reusing it.
     (*scratch)[0] = acc[0];
     (*scratch)[1] = acc[1];
     comm.iallreduce_sum(std::span<const double>(scratch->data(), 2),
@@ -810,8 +810,8 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             DistWorkspace& ws, Matrix& full) {
   {
     // In overlap mode the nonblocking form (posted and waited in place)
-    // replaces the blocking one: same movement and identical charge, but
-    // a single lock-free rendezvous instead of two barrier phases.
+    // replaces the blocking one: same movement and identical charge,
+    // without the blocking form's closing wait for every peer to finish.
     ScopedPhase scope(profiler, Phase::kDenseComm);
     if (overlap_enabled()) {
       row_comm

@@ -380,8 +380,9 @@ void drain_comm(const Comm& comm) noexcept;
 ///      exchange k packs into buffer k % 2 after quiescing the op that
 ///      used that buffer two exchanges ago (quiesce_op) — a release peers
 ///      finished a whole layer earlier, off the critical path. Blocking
-///      mode needs no release (barrier phases separate the accesses) and
-///      keeps the one-shot alltoallv_into.
+///      mode needs no release (a blocking collective returns only once
+///      every peer has completed it) and keeps the one-shot
+///      alltoallv_into.
 struct HaloPlan {
   bool ready = false;
   /// Forward receives: rows obtained from each source, ascending peer

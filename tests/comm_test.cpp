@@ -109,24 +109,6 @@ TEST_P(CollectivesAcrossP, AllgathervConcatenatesInRankOrder) {
   });
 }
 
-TEST_P(CollectivesAcrossP, GatherCollectsAtRootOnly) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    std::vector<Real> mine = {static_cast<Real>(comm.rank() * 10)};
-    const auto g =
-        comm.gather(std::span<const Real>(mine), 0, CommCategory::kControl);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(g.data.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        ASSERT_DOUBLE_EQ(g.data[static_cast<std::size_t>(r)],
-                         static_cast<Real>(r * 10));
-      }
-    } else {
-      ASSERT_TRUE(g.data.empty());
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesAcrossP,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
@@ -613,9 +595,6 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
                Error);
   EXPECT_THROW(comm.route(std::span<const Real>(data), 0,
                           CommCategory::kDense),
-               Error);
-  EXPECT_THROW(comm.gather(std::span<const Real>(data), 0,
-                           CommCategory::kDense),
                Error);
   EXPECT_THROW(comm.ibroadcast_from(std::span<const Real>(data),
                                     std::span<Real>{}, 0,
@@ -1139,6 +1118,195 @@ TEST(AllgathervInto, ReusesStorageAcrossCalls) {
   });
 }
 
+// ---- Blocking collectives share the engine with in-flight ring ops ----
+
+/// Every blocking collective once, on a P = 4 world; returns the results
+/// concatenated in call order.
+std::vector<Real> run_every_blocking_collective(Comm& comm) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  std::vector<Real> results;
+  const auto keep = [&](const std::vector<Real>& v) {
+    results.insert(results.end(), v.begin(), v.end());
+  };
+  std::vector<Real> data(9);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(0.3 * static_cast<Real>(i + 1) * (me + 1));
+  }
+  std::vector<Real> v = data;
+  comm.broadcast(std::span<Real>(v), 1, CommCategory::kDense);
+  keep(v);
+  std::vector<Real> dst(data.size(), -1);
+  comm.broadcast_from(me == 2 ? std::span<const Real>(data)
+                              : std::span<const Real>{},
+                      me == 2 ? std::span<Real>{} : std::span<Real>(dst), 2,
+                      CommCategory::kDense);
+  keep(dst);
+  v = data;
+  comm.allreduce_sum(std::span<Real>(v), CommCategory::kDense);
+  keep(v);
+  v = data;
+  comm.allreduce_max(std::span<Real>(v), CommCategory::kDense);
+  keep(v);
+  std::vector<Real> contrib(static_cast<std::size_t>(p * (p + 1) / 2));
+  for (std::size_t i = 0; i < contrib.size(); ++i) {
+    contrib[i] = std::cos(static_cast<Real>(i) * (me + 1));
+  }
+  std::vector<Real> slice(static_cast<std::size_t>(me) + 1);
+  comm.reduce_scatter_sum(std::span<const Real>(contrib),
+                          std::span<Real>(slice), CommCategory::kDense);
+  keep(slice);
+  keep(comm.allgather(std::span<const Real>(data), CommCategory::kDense));
+  Gathered<Real> gathered;
+  comm.allgatherv_into(
+      std::span<const Real>(data.data(), static_cast<std::size_t>(me) + 1),
+      gathered, CommCategory::kDense);
+  keep(gathered.data);
+  keep(comm.exchange(std::span<const Real>(data), me ^ 1,
+                     CommCategory::kTranspose));
+  keep(comm.route(std::span<const Real>(data), (me + 1) % p,
+                  CommCategory::kTranspose));
+  std::vector<std::size_t> offsets = {0};
+  for (int d = 0; d < p; ++d) offsets.push_back(offsets.back() + 2);
+  std::vector<Real> send(offsets.back());
+  for (std::size_t i = 0; i < send.size(); ++i) send[i] = data[i % 9] + me;
+  comm.alltoallv_into(std::span<const Real>(send),
+                      std::span<const std::size_t>(offsets), gathered,
+                      CommCategory::kHalo);
+  keep(gathered.data);
+  comm.barrier();
+  Comm sub = comm.split(me % 2, -me);
+  v = data;
+  sub.allreduce_sum(std::span<Real>(v), CommCategory::kDense);
+  keep(v);
+  return results;
+}
+
+/// `count` nonblocking ops: all-reduces and broadcasts from rotating roots.
+struct RingOps {
+  std::vector<std::vector<Real>> src, dst;
+  std::vector<PendingOp> ops;
+  std::vector<std::uint64_t> tickets;
+
+  RingOps() {
+    src.reserve(16);  // posted spans stay put
+    dst.reserve(16);
+  }
+
+  /// Post the next `count` ops of the sequence.
+  void post(Comm& comm, int count) {
+    for (int n = 0; n < count; ++n) {
+      const int i = static_cast<int>(ops.size());
+      const int root = i % comm.size();
+      src.emplace_back(7);
+      dst.emplace_back(7, Real{-1});
+      for (std::size_t k = 0; k < 7; ++k) {
+        src.back()[k] = std::sin(static_cast<Real>(k + 1) * (i + 1) +
+                                 comm.rank());
+      }
+      const std::span<const Real> s(src.back());
+      const std::span<Real> d(dst.back());
+      if (i % 2 == 0) {
+        ops.push_back(comm.iallreduce_sum(s, d, CommCategory::kSparse));
+      } else {
+        ops.push_back(comm.ibroadcast_from(
+            comm.rank() == root ? s : std::span<const Real>{},
+            comm.rank() == root ? std::span<Real>{} : d, root,
+            CommCategory::kSparse));
+      }
+      tickets.push_back(ops.back().ticket());
+    }
+  }
+
+  std::vector<Real> finish(Comm& comm) {
+    for (auto& op : ops) op.wait();
+    comm.quiesce();
+    std::vector<Real> all;
+    for (const auto& d : dst) all.insert(all.end(), d.begin(), d.end());
+    return all;
+  }
+};
+
+TEST(Blocking, InterleavedWithFifteenRingOpsKeepsTicketsAndResults) {
+  // Blocking collectives take no ticket from the 16-channel ring: with 15
+  // ring ops in flight, every blocking collective (barrier and split
+  // included) runs, the next ring post still gets ticket 15, and every
+  // result and charge is bitwise what the two runs give alone.
+  const int p = 4;
+  const auto slot = [](const Comm& comm) {
+    return static_cast<std::size_t>(comm.rank());
+  };
+  std::vector<std::vector<Real>> blocking_alone(p), ring_alone(p);
+  std::vector<std::vector<Real>> blocking_mixed(p), ring_mixed(p);
+  std::vector<CostMeter> blocking_meters, ring_meters, mixed_meters;
+  run_world(
+      p,
+      [&](Comm& comm) {
+        blocking_alone[slot(comm)] = run_every_blocking_collective(comm);
+      },
+      &blocking_meters);
+  run_world(
+      p,
+      [&](Comm& comm) {
+        RingOps ring;
+        ring.post(comm, 16);
+        ring_alone[slot(comm)] = ring.finish(comm);
+      },
+      &ring_meters);
+  run_world(
+      p,
+      [&](Comm& comm) {
+        RingOps ring;
+        ring.post(comm, 15);
+        blocking_mixed[slot(comm)] = run_every_blocking_collective(comm);
+        ring.post(comm, 1);
+        for (std::size_t i = 0; i < ring.tickets.size(); ++i) {
+          EXPECT_EQ(ring.tickets[i], i) << "rank " << comm.rank();
+        }
+        ring_mixed[slot(comm)] = ring.finish(comm);
+      },
+      &mixed_meters);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
+    EXPECT_EQ(blocking_mixed[r], blocking_alone[r]) << "rank " << r;
+    EXPECT_EQ(ring_mixed[r], ring_alone[r]) << "rank " << r;
+    for (std::size_t c = 0; c < CostMeter::kNumCategories; ++c) {
+      const auto cat = static_cast<CommCategory>(c);
+      EXPECT_EQ(mixed_meters[r].words(cat),
+                blocking_meters[r].words(cat) + ring_meters[r].words(cat))
+          << "rank " << r << " " << comm_category_name(cat);
+      EXPECT_EQ(mixed_meters[r].latency_units(cat),
+                blocking_meters[r].latency_units(cat) +
+                    ring_meters[r].latency_units(cat))
+          << "rank " << r << " " << comm_category_name(cat);
+    }
+  }
+}
+
+TEST(Blocking, BarrierAndSplitReportNoSeamEvents) {
+  // A kill armed at every rank's first post would fire inside barrier or
+  // split if they reported seam events; it must fire at the all-reduce
+  // that follows them instead, on whichever rank gets there first.
+  set_fault_plan(std::make_shared<FaultPlan>(
+      FaultPlan()
+          .kill_any(0, FaultSite::kPost, 1)
+          .kill_any(1, FaultSite::kPost, 1)));
+  try {
+    run_world(2, [&](Comm& comm) {
+      comm.barrier();
+      Comm sub = comm.split(0, -comm.rank());
+      sub.barrier();
+      std::vector<Real> data(3, Real{1});
+      comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
+    });
+    ADD_FAILURE() << "the armed kill never fired";
+  } catch (const CommAborted& e) {
+    EXPECT_EQ(e.op(), "allreduce_sum");
+    EXPECT_EQ(e.site(), FaultSite::kPost);
+    EXPECT_EQ(e.cause(), "injected rank kill");
+  }
+  clear_fault_plan();
+}
+
 // ---- alltoallv: the halo-exchange primitive ----
 
 /// Each rank sends `dest + 1` copies of the value 100*rank + dest to every
@@ -1564,20 +1732,37 @@ TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
 }
 
 TEST(Diagnostics, SizeMismatchNamesOpCategoryAndBothRanks) {
-  try {
-    run_world(2, [](Comm& comm) {
-      std::vector<Real> data(comm.rank() == 0 ? 4 : 5, Real{1});
-      comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
-    });
-    FAIL() << "size mismatch was not diagnosed";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("broadcast"), std::string::npos) << what;
-    EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
-    EXPECT_NE(what.find("disagree on element count"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  using Input = void (*)(Comm&, std::vector<Real>&);
+  const Input inputs[] = {
+      [](Comm& comm, std::vector<Real>& data) {
+        comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
+      },
+      [](Comm& comm, std::vector<Real>& data) {
+        const bool root = comm.rank() == 0;
+        comm.ibroadcast_from(
+                root ? std::span<const Real>(data) : std::span<const Real>{},
+                root ? std::span<Real>{} : std::span<Real>(data), 0,
+                CommCategory::kDense)
+            .wait();
+        comm.quiesce();
+      },
+  };
+  for (const Input input : inputs) {
+    try {
+      run_world(2, [&](Comm& comm) {
+        std::vector<Real> data(comm.rank() == 0 ? 4 : 5, Real{1});
+        input(comm, data);
+      });
+      FAIL() << "size mismatch was not diagnosed";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("broadcast"), std::string::npos) << what;
+      EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
+      EXPECT_NE(what.find("disagree on element count"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
   }
 }
 

@@ -114,11 +114,7 @@ TEST(Contract, TeardownWithUnwaitedOpDiagnosed) {
 
 TEST(Contract, ChargeWithoutOpenOpDiagnosed) {
   contract::Checker checker(2);
-  // Legal inside a blocking collective...
-  checker.on_blocking_begin(0, "broadcast", CommCategory::kDense);
-  EXPECT_NO_THROW(checker.on_charge(0, "broadcast", CommCategory::kDense));
-  checker.on_blocking_end(0);
-  // ...and while a nonblocking op is open...
+  // Legal while a nonblocking op is open...
   checker.on_post(1, /*ticket=*/0, "iallreduce_sum", CommCategory::kDense,
                   /*finished_count=*/0, /*recycle_target=*/0);
   EXPECT_NO_THROW(

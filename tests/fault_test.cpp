@@ -226,9 +226,8 @@ TEST(FaultAbort, PeersUnwindWithTypedPeerFailure) {
 }
 
 TEST(FaultAbort, KillInsideSplitCollectiveDoesNotHangOtherGroups) {
-  // Regression for the old std::barrier limitation: a rank dying while
-  // OTHER split groups are parked inside their own blocking collectives
-  // must poison-wake everyone. Before the PhaseGate rework this hung.
+  // A rank dying while OTHER split groups are parked inside their own
+  // blocking collectives must poison-wake everyone.
   // Trigger ranks are communicator-local, so sub-rank 2 names the last
   // member of whichever 3-rank split group reaches the 5th post first.
   FaultPlanGuard guard(

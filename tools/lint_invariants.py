@@ -43,28 +43,36 @@ BENCH = REPO / "bench"
 
 # ---- rule: seam-funnel -------------------------------------------------
 
-# Collective entry points that publish or read channel/slot state
-# directly. Wrappers that only delegate (allgather -> allgatherv,
-# allreduce_sum -> reduce_impl, the i-collectives -> post_async) are
-# covered through their callee.
+# The functions that publish or read channel slots: every post
+# publishes in post_async, every completion reads in PendingOp::wait (the
+# typed completers run only from there), and a per-source drain reads in
+# await_source. Every collective, blocking or not, reaches the slots
+# through these: the i-collectives call post_async, and each blocking
+# collective calls Comm::run_blocking, which posts with post_async and
+# completes with wait. Wrappers that only delegate are covered through
+# their callee.
 SEAM_ANCHORS = {
     "src/comm/comm.hpp": [
-        "void broadcast(",
-        "void broadcast_from(",
-        "void reduce_scatter_sum(",
-        "void allgatherv_into(",
-        "std::vector<T> exchange(",
-        "std::vector<T> route(",
-        "void alltoallv_into(",
-        "Gathered<T> gather(",
         "std::span<const T> await_source(",
-        "void reduce_impl(",
     ],
     "src/comm/comm.cpp": [
         "PendingOp Comm::post_async(",
         "void PendingOp::wait(",
     ],
 }
+
+
+# Helpers that index channel slots but run only inside an anchor: the
+# typed completers run from PendingOp::wait, await_chunk from await_source
+# and the drain completer. Any other slot access is a violation, so a new
+# path to the slots cannot bypass the seam.
+SLOT_HELPERS = {
+    "src/comm/comm.hpp": [
+        "void PendingOp::complete_impl(",
+        "std::span<const T> await_chunk(",
+    ],
+}
+SLOT_RE = re.compile(r"\bch\.(?:ptr2?|len|kind|root)\[")
 
 
 def function_body(text, anchor_index):
@@ -108,6 +116,31 @@ def check_seam_funnel(root):
                     f"`{anchor.rstrip('(')}` does not call "
                     f"detail::seam_event — it is invisible to fault "
                     f"injection and the contract checker")
+    for rel in sorted(set(SEAM_ANCHORS) | set(SLOT_HELPERS)):
+        path = root / rel
+        if not path.is_file():
+            continue
+        text = path.read_text()
+        spans = []
+        for anchor in SEAM_ANCHORS.get(rel, []) + SLOT_HELPERS.get(rel, []):
+            at = text.find(anchor)
+            if at < 0:
+                if anchor in SLOT_HELPERS.get(rel, []):
+                    violations.append(
+                        f"{rel}: slot helper `{anchor.rstrip('(')}` not "
+                        f"found (renamed? update SLOT_HELPERS)")
+                continue
+            body = function_body(text, at)
+            if body is not None:
+                start = text.find("{", at)
+                spans.append((start, start + len(body)))
+        for hit in SLOT_RE.finditer(text):
+            if not any(lo <= hit.start() < hi for lo, hi in spans):
+                line = text.count("\n", 0, hit.start()) + 1
+                violations.append(
+                    f"{rel}:{line}: seam-funnel: channel slot "
+                    f"`{hit.group(0)}` accessed outside the seam-anchored "
+                    f"functions (post_async / wait / await_source)")
     return violations
 
 
@@ -306,16 +339,21 @@ def build_seeded_tree(tmp):
     (tmp / "src/comm").mkdir(parents=True)
     (tmp / "src/util").mkdir(parents=True)
     (tmp / "bench").mkdir()
-    # seam-funnel: both anchor files exist but broadcast never calls
+    # seam-funnel: both anchor files exist but await_source never calls
     # seam_event; the rest of the anchors are present and clean.
     hpp_parts = []
     for anchor in SEAM_ANCHORS["src/comm/comm.hpp"]:
-        body = "{}" if anchor == "void broadcast(" else "{ seam_event(x); }"
+        body = ("{}" if anchor == "std::span<const T> await_source("
+                else "{ seam_event(x); }")
         hpp_parts.append(f"template <typename T>\n{anchor}) {body}\n")
+    for helper in SLOT_HELPERS["src/comm/comm.hpp"]:
+        hpp_parts.append(f"template <typename T>\n{helper}) {{ ch.ptr[0]; }}\n")
     (tmp / "src/comm/comm.hpp").write_text("\n".join(hpp_parts))
     cpp_parts = []
     for anchor in SEAM_ANCHORS["src/comm/comm.cpp"]:
-        cpp_parts.append(f"{anchor}) {{ seam_event(x); }}\n")
+        cpp_parts.append(f"{anchor}) {{ seam_event(x); ch.len[0]; }}\n")
+    # seam-funnel: a channel slot read outside every anchored function.
+    cpp_parts.append("void rogue_reader() { auto* p = ch.ptr[1]; }\n")
     # naked-thread: a raw std::thread outside parallel.*, unannotated.
     cpp_parts.append("void rogue() { std::thread t([] {}); t.join(); }\n")
     # hot-path-alloc: marked functions that allocate, by `new` and by a
@@ -346,7 +384,10 @@ def self_test():
         schemas = build_seeded_tree(tmp)
         failures = []
         expectations = [
-            ("seam-funnel", lambda: check_seam_funnel(tmp)),
+            ("seam-funnel", lambda: [
+                v for v in check_seam_funnel(tmp) if "await_source" in v]),
+            ("seam-funnel", lambda: [
+                v for v in check_seam_funnel(tmp) if "channel slot" in v]),
             ("naked-thread", lambda: check_naked_thread(tmp)),
             ("hot-path-alloc", lambda: check_hot_path_alloc(tmp)),
             ("hot-path-alloc", lambda: [
